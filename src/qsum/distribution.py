@@ -14,6 +14,7 @@ immutable after construction and may be shared across threads freely.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -33,11 +34,6 @@ __all__ = [
     "collapse_outputs",
     "event_probability",
 ]
-
-# Below this, a csc^2 term is treated as a pole: legal only on the
-# integral-sigma branch, so hitting it elsewhere means the integer
-# detection tolerance is misconfigured for this M.
-_POLE_TOL = 1e-12
 
 _DRIFT_TOL = 1e-10
 
@@ -119,21 +115,103 @@ def output_value(j: int, M: int) -> float:
     return math.sin(math.pi * min(j, M - j) / M) ** 2
 
 
-def _folded_sines(M: int, sigma: float, j):
-    """|sin(pi (j -+ sigma)/M)| via distances folded into [0, M/2].
+@functools.lru_cache(maxsize=16)
+def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices j = 0..M-1 as floats, and (M - j) mod M."""
+    j = np.arange(M)
+    j, partner = j.astype(float), -j % M
+    j.flags.writeable = partner.flags.writeable = False  # shared by callers
+    return j, partner
 
-    The distances of j - sigma and j + sigma to the nearest multiple of M
-    are assembled from subtractions that are exact precisely when the
-    result is small (j - sigma near 0, (j - M) + sigma near 0), so the
-    near-pole factors keep full relative accuracy and vanish exactly on
-    the integral-sigma branch.  A plain mod-M reduction would round tiny
-    negative offsets at the ulp of M and lose them.
+
+def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """|sin(pi (j - sigma)/M)| for the M indices j, one row per sigma, via
+    the distance of j - sigma to the nearest multiple of M.
+
+    The subtraction j - sigma is exact precisely when its result is small,
+    so the near-pole factors keep full relative accuracy and vanish
+    exactly on the integral-sigma branch; a plain mod-M reduction would
+    round tiny negative offsets at the ulp of M and lose them.  The other
+    factor needs no second pass: |sin(pi (j + sigma)/M)| is this one at
+    index (M - j) mod M, from the same exact subtraction.
     """
-    d1 = np.abs(j - sigma)  # j - sigma in (-M/2, M); exact when small
-    d1 = np.where(d1 > 0.5 * M, M - d1, d1)
-    d2 = np.abs((j - M) + sigma)  # (j+sigma) - M in [-M, M/2); exact when small
-    d2 = np.where(d2 > 0.5 * M, M - d2, d2)
-    return np.abs(np.sin(np.pi * d1 / M)), np.abs(np.sin(np.pi * d2 / M))
+    M = len(j)
+    d = np.abs(j - sigma[:, None])  # in [0, M)
+    np.minimum(d, M - d, out=d)  # folded into [0, M/2]
+    d *= np.pi
+    d /= M
+    return np.sin(d, out=d)  # nonnegative on [0, pi/2]
+
+
+def _block_errors(
+    M: int,
+    q: float | None,
+    insts: list[MeanInstance],
+    angles: list[AngleSet],
+    integer_tol: float = 1e-9,
+    support_tol: float = 1e-14,
+):
+    """Outcome probabilities and errors of a block of instances sharing M,
+    in one numpy pass over (rows x M) arrays.
+
+    Returns (errors, p, err, drift): the per-row L_q error (at q = inf the
+    largest error over p > support_tol), the renormalized p(j),
+    |a - output(j)| in product form (errors and err are None when q is
+    None), and the drift |sum p - 1| that renormalization absorbed.  Each
+    row's closed-form p(j) is checked for nonnegativity and unit mass
+    (drift below 1e-10) before it is divided by its computed sum.
+
+    An integral-sigma row is a point mass on the canonical index realizing
+    output = a (the smaller of sigma mod M and M - sigma mod M; both map to
+    the same output), where the product form vanishes, so its error is
+    exactly 0.  Any other sigma lies more than integer_tol from every
+    integer, so its folded sines all exceed sin(pi integer_tol / M); one
+    below half of that is a pole the integer detection missed.
+    """
+    sigma = np.array([ang.sigma for ang in angles])
+    points = [i for i, ang in enumerate(angles) if ang.sigma_is_integer]
+    j, partner = _index_tables(M)
+    f1 = _folded_sines(j, sigma)
+    err = None if q is None else f1 * f1[:, partner]
+    if points:
+        f1[points] = 1.0
+    guard = 0.5 * math.sin(math.pi * integer_tol / M)
+    if f1.min() < guard:
+        i = int(np.argmax(f1.min(axis=1) < guard))
+        raise ConsistencyError(
+            f"near-pole outcome term (|sin| = {f1[i].min():.3e}) for "
+            f"k={insts[i].k}, N={insts[i].N}, M={M} with "
+            f"sigma={angles[i].sigma!r} not flagged integral; "
+            f"integer_tol={integer_tol:g} is too tight for this M"
+        )
+    # sin^2(pi s) / (2 M^2), which is 0 on integral rows
+    amp = np.array([math.sin(math.pi * ang.s) ** 2 / (2.0 * M * M) for ang in angles])
+    p = f1**-2.0
+    p += p[:, partner]
+    p *= amp[:, None]
+    if points:
+        m = np.round(sigma[points]).astype(np.int64) % M
+        p[points, np.minimum(m, (M - m) % M)] = 1.0
+    if p.min() < -1e-12:
+        raise ConsistencyError(f"negative outcome probability {p.min()!r}")
+    total = p.sum(axis=1)
+    drift = np.abs(total - 1.0)
+    if drift.max() >= _DRIFT_TOL:
+        i = int(np.argmax(drift >= _DRIFT_TOL))
+        raise ConsistencyError(
+            f"outcome normalization drift {drift[i]:.3e} for k={insts[i].k}, "
+            f"N={insts[i].N}, M={M}"
+        )
+    p /= total[:, None]
+    if q is None:
+        errors = None
+    elif math.isinf(q):
+        errors = np.where(p > support_tol, err, 0.0).max(axis=1)
+    elif q == 1.0:
+        errors = (p * err).sum(axis=1)
+    else:
+        errors = (p * err**q).sum(axis=1) ** (1.0 / q)
+    return errors, p, err, drift
 
 
 def exact_error(inst: MeanInstance, j: int, integer_tol: float = 1e-9) -> float:
@@ -141,15 +219,14 @@ def exact_error(inst: MeanInstance, j: int, integer_tol: float = 1e-9) -> float:
     M = inst.M
     if not 0 <= j < M:
         raise DomainError(f"index j={j} out of range for M={M}")
-    ang = derive_angles(inst, integer_tol)
-    f1, f2 = _folded_sines(M, ang.sigma, float(j))
-    return float(f1 * f2)
+    return float(error_vector(inst, derive_angles(inst, integer_tol))[j])
 
 
 def error_vector(inst: MeanInstance, angles: AngleSet) -> np.ndarray:
-    """exact_error for all j at once."""
-    f1, f2 = _folded_sines(inst.M, angles.sigma, np.arange(inst.M, dtype=float))
-    return f1 * f2
+    """exact_error for all j at once: the product form of a one-row block.
+    The angles are taken as given, with no integer tolerance behind them,
+    so no pole guard applies."""
+    return _block_errors(inst.M, 1.0, [inst], [angles], 0.0)[2][0]
 
 
 def outcome_distribution(
@@ -157,55 +234,14 @@ def outcome_distribution(
 ) -> OutcomeDistribution:
     """Construct the exact outcome distribution of an instance.
 
-    Integral sigma yields a point mass on the canonical index realizing
-    output = a (the smaller of sigma mod M and M - sigma mod M; both map
-    to the same output).  Otherwise the closed-form p(j) is evaluated,
-    checked for nonnegativity and unit mass, and renormalized by its
-    computed sum so downstream expectations see an exact probability
-    vector; the drift absorbed this way is recorded and must stay below
-    1e-10.
+    Integral sigma yields a point mass on an index whose output equals a.
+    Otherwise the closed-form p(j) is evaluated, checked and renormalized
+    by its computed sum, so downstream expectations see an exact
+    probability vector; the drift absorbed this way is recorded.
     """
     ang = derive_angles(inst, integer_tol)
-    M = inst.M
-    if ang.sigma_is_integer:
-        m = int(round(ang.sigma)) % M
-        j0 = min(m, (M - m) % M)
-        p = np.zeros(M)
-        p[j0] = 1.0
-        return OutcomeDistribution(M, p, inst, ang, 0.0)
-
-    f1, f2 = _folded_sines(M, ang.sigma, np.arange(M, dtype=float))
-    smallest = min(f1.min(), f2.min())
-    if smallest < _POLE_TOL:
-        raise ConsistencyError(
-            f"near-pole outcome term (|sin| = {smallest:.3e}) for "
-            f"k={inst.k}, N={inst.N}, M={M} with sigma={ang.sigma!r} not "
-            f"flagged integral; integer_tol={integer_tol:g} is too tight "
-            "for this M"
-        )
-    amp = math.sin(math.pi * ang.s) ** 2 / (2.0 * M * M)
-    p = amp * (f1**-2.0 + f2**-2.0)
-    if p.min() < -1e-12:
-        raise ConsistencyError(f"negative outcome probability {p.min()!r}")
-    total = float(p.sum())
-    drift = abs(total - 1.0)
-    if drift >= _DRIFT_TOL:
-        raise ConsistencyError(
-            f"outcome normalization drift {drift:.3e} for k={inst.k}, "
-            f"N={inst.N}, M={M}"
-        )
-    return OutcomeDistribution(M, p / total, inst, ang, drift)
-
-
-def output_table(d: OutcomeDistribution) -> np.ndarray:
-    """Outputs sin^2(pi j / M) for all j, with the integral-sigma support
-    point snapped to the exact mean (where the two coincide analytically)."""
-    M = d.M
-    table = np.sin(np.pi * np.arange(M) / M) ** 2
-    if d.angles.sigma_is_integer:
-        j0 = int(np.argmax(d.p))
-        table[j0] = d.instance.a
-    return table
+    _, p, _, drift = _block_errors(inst.M, None, [inst], [ang], integer_tol)
+    return OutcomeDistribution(inst.M, p[0], inst, ang, float(drift[0]))
 
 
 def collapse_outputs(d: OutcomeDistribution) -> OutputDistribution:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import error_vector, outcome_distribution
+from .distribution import _block_errors
 from .errors import ConvergenceError, DomainError
 from .model import MeanInstance, derive_angles
 from .numerics import integrate_adaptive, sin_power_integral
@@ -89,13 +89,8 @@ def local_avg_error(
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    d = outcome_distribution(inst, integer_tol)
-    if d.angles.sigma_is_integer:
-        return 0.0
-    errs = error_vector(inst, d.angles)
-    if q == 1.0:
-        return float(np.dot(d.p, errs))
-    return float(np.dot(d.p, errs**q) ** (1.0 / q))
+    ang = derive_angles(inst, integer_tol)
+    return float(_block_errors(inst.M, q, [inst], [ang], integer_tol)[0][0])
 
 
 def local_sup_error(
@@ -104,12 +99,9 @@ def local_sup_error(
     integer_tol: float = 1e-9,
 ) -> float:
     """Largest |a - output(j)| over outcomes with p(j) > support_tol."""
-    d = outcome_distribution(inst, integer_tol)
-    if d.angles.sigma_is_integer:
-        return 0.0
-    errs = error_vector(inst, d.angles)
-    mask = d.p > support_tol
-    return float(errs[mask].max()) if mask.any() else 0.0
+    ang = derive_angles(inst, integer_tol)
+    errors = _block_errors(inst.M, math.inf, [inst], [ang], integer_tol, support_tol)[0]
+    return float(errors[0])
 
 
 def cot_sum(inst: MeanInstance, integer_tol: float = 1e-9) -> float:

@@ -78,17 +78,21 @@ class RepetitionRow:
 def median_distribution(base: OutputDistribution, n: int) -> MedianDistribution:
     """Exact distribution of the median of 2n+1 draws from base.
 
-    n = 0 reproduces the base; the atom masses always sum to 1 up to the
-    accuracy of the median polynomial, by telescoping.
+    n = 0 reproduces the base atoms exactly; for n > 0 the atom masses
+    sum to 1 up to the accuracy of the median polynomial, by telescoping.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise DomainError(f"n must be an integer, got {n!r}")
     if not 0 <= n <= MAX_REPETITION_N:
         raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
-    boundaries = np.concatenate(([0.0], np.cumsum(base.rhos)))
-    boundaries[-1] = 1.0
-    cdf = median_cdf_table(boundaries, int(n))
-    rhos = np.diff(cdf)
+    if n == 0:
+        # the median of one draw is the draw: keep the base masses, which
+        # CDF differences would round
+        rhos = base.rhos.copy()
+    else:
+        boundaries = np.concatenate(([0.0], np.cumsum(base.rhos)))
+        boundaries[-1] = 1.0
+        rhos = np.diff(median_cdf_table(boundaries, int(n)))
     return MedianDistribution(int(n), base.alphas.copy(), rhos, base)
 
 

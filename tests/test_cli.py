@@ -54,6 +54,17 @@ class TestError:
         assert code == 0
         assert out.strip().split("\n")[1] == "8,8,3,inf,1"
 
+    def test_near_pole_at_large_M(self, capsys):
+        # sigma 1.5e-9 from an integer at M = 20000: past the snap
+        # tolerance, so a valid instance with a finite error
+        code, out, err = run_cli(
+            capsys, "error", "--k", "2947644224045339",
+            "--N", "4503599627370496", "--M", "20000", "--q", "1",
+        )
+        assert code == 0 and err == ""
+        error = float(out.strip().split("\n")[1].split(",")[-1])
+        assert 0.0 < error < 1e-12
+
     def test_integer_flags_accept_decimal_literals(self, capsys):
         code, out, _ = run_cli(
             capsys, "error", "--k", "4.0", "--N", "8", "--M", "4.0", "--q", "2"

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qsum.errors import ConsistencyError, DomainError
-from qsum.model import MeanInstance, derive_angles, random_instances
+from qsum.model import AngleSet, MeanInstance, derive_angles, random_instances
+from qsum.error_analysis import local_avg_error, local_sup_error
 from qsum.distribution import (
     OutcomeDistribution,
+    _block_errors,
     collapse_outputs,
     event_probability,
     exact_error,
@@ -64,17 +66,44 @@ class TestOutcomeDistribution:
         assert d.p[1] == pytest.approx(3 / 7, abs=1e-14)
 
     def test_near_pole_rejection(self):
-        # fractional part of sigma engineered into the gap between the
-        # integer-snap tolerance and the pole guard: must be rejected,
-        # not turned into huge probabilities
+        # an angle set within the pole guard that is not flagged integral
+        # (inconsistent with integer_tol) must be rejected, not turned
+        # into huge probabilities
         M = 4096
-        target = 600 + 1.15e-9
-        a = math.sin(math.pi * target / M) ** 2
-        N = 2**44
+        s = 2.0**-43
+        ang = AngleSet(math.pi * (600 + s) / M, 600 + s, s, s, 1.0 - s, False)
+        with pytest.raises(ConsistencyError, match="near-pole"):
+            _block_errors(M, None, [MeanInstance(1, 2**44, M)], [ang])
+
+    @pytest.mark.parametrize(
+        "M, s_target", [(4096, 1.15e-9), (20000, 1.2e-9), (100000, 1.5e-9)]
+    )
+    def test_pole_guard_scales_with_M(self, M, s_target):
+        # sigma just past the snap tolerance: the guard follows
+        # integer_tol / M, so these are valid near-pole distributions
+        N = 2**52
+        m_int = M // 3
+        a = math.sin(math.pi * (m_int + s_target) / M) ** 2
         inst = MeanInstance(round(a * N), N, M)
-        assert not derive_angles(inst).sigma_is_integer
-        with pytest.raises(ConsistencyError):
-            outcome_distribution(inst)
+        ang = derive_angles(inst)
+        assert not ang.sigma_is_integer and ang.s < 2e-9
+        d = outcome_distribution(inst)
+        assert d.normalization_drift <= 1e-10
+        assert d.p.max() == pytest.approx(0.5, abs=1e-6)
+        for q in (1.0, 2.0):
+            e = local_avg_error(inst, q)
+            assert math.isfinite(e) and 0.0 < e < 1e-6
+        assert 0.0 < local_sup_error(inst) < 1e-6
+
+    def test_small_mean_second_factor_exact(self):
+        # sigma near 0 puts both csc^2 poles at j = 0; the second factor
+        # must keep full relative accuracy there too.  Reference values:
+        # the closed form in 50-digit mpmath arithmetic.
+        for M, want in ((6, 1.3322676295501851e-15), (1000, 2.2204460490862949e-13)):
+            inst = MeanInstance(1, 2**52, M)
+            d = outcome_distribution(inst)
+            assert d.normalization_drift <= 1e-12
+            assert local_avg_error(inst, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_serialization(self):
         d = outcome_distribution(MeanInstance(8, 8, 3))

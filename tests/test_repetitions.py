@@ -113,6 +113,13 @@ class TestRepetitionError:
                     local_avg_error(inst, q), abs=1e-12
                 )
 
+    def test_n0_keeps_base_atoms(self):
+        # CDF differences of the atoms would round them by 3.4e-8 relative here
+        inst = MeanInstance(84667, 329873, 1366)
+        assert repetition_error(inst, 2.0, 0) == pytest.approx(
+            local_avg_error(inst, 2.0), rel=1e-13, abs=0.0
+        )
+
     def test_integral_sigma_zero(self):
         assert repetition_error(MeanInstance(4, 8, 4), 2.0, 3) == 0.0
 

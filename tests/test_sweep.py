@@ -1,10 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
+from qsum import sweep
+from qsum.distribution import _block_errors
 from qsum.errors import DomainError
 from qsum.model import MeanInstance, derive_angles
-from qsum.error_analysis import local_avg_error
+from qsum.error_analysis import L1_SLACK_CONSTANT, local_avg_error
 from qsum.sweep import (
     GridSpec,
     asymptotic_table,
@@ -84,6 +87,25 @@ class TestWorstAvgError:
         r = worst_avg_error(4, 1.0, grid)
         assert r.argmax_k == 0
 
+    def test_default_sweep_not_two_mod_four(self):
+        # for M = 2 mod 4 the injected mean 1/2 always wins; here a grid
+        # mean does, and the q = 1 constant still sits in its envelope
+        M = 1053
+        r = worst_avg_error(M, 1.0)
+        assert (r.argmax_k, r.argmax_N) == (525075, 2**20)
+        assert r.worst_error == pytest.approx(0.004702403399654803, rel=1e-13)
+        assert all(r.argmax_k != inst.k for inst in sharpness_instances(M))
+        c = r.worst_error * M / math.log(M)
+        assert abs(c - 2 / math.pi) <= L1_SLACK_CONSTANT / math.log(M)
+
+    @pytest.mark.parametrize("M", [6, 22, 86, 342, 1366])
+    def test_q2_half_mean_identity(self, M):
+        # at M = 2 mod 4 the worst q = 2 error sits at a = 1/2, where
+        # e * sqrt(M) = 1/sqrt(2)
+        r = worst_avg_error(M, 2.0, default_grid(count=500), include_sharpness=True)
+        assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
+        assert abs(r.worst_error * math.sqrt(M) - 1 / math.sqrt(2)) <= 1e-12
+
     def test_validation(self):
         with pytest.raises(DomainError):
             worst_avg_error(2, 1.0)
@@ -91,6 +113,77 @@ class TestWorstAvgError:
             worst_avg_error(12, 1.0, GridSpec(8, (1,), "N too small"))
         with pytest.raises(DomainError):
             GridSpec(8, (), "empty")
+
+
+def _reference_error(inst: MeanInstance, q: float) -> float:
+    """The closed form for one instance, written out independently of the
+    block kernel: both csc^2 factors from distances folded into [0, M/2],
+    each built from a subtraction that is exact when it is small."""
+    ang = derive_angles(inst)
+    if ang.sigma_is_integer:
+        return 0.0
+    M = inst.M
+    j = np.arange(M, dtype=float)
+
+    def folded_sin(x):
+        x = np.abs(x)
+        return np.sin(np.pi * np.minimum(x, M - x) / M)
+
+    f1 = folded_sin(j - ang.sigma)
+    f2 = folded_sin(np.where(j == 0, ang.sigma, (j - M) + ang.sigma))
+    p = math.sin(math.pi * ang.s) ** 2 / (2.0 * M * M) * (f1**-2.0 + f2**-2.0)
+    p /= p.sum()
+    err = f1 * f2
+    if math.isinf(q):
+        return float(err[p > 1e-14].max())
+    return float(np.dot(p, err**q) ** (1.0 / q))
+
+
+class TestBlockKernel:
+    N = 2**21
+
+    def grid(self, M):
+        N = self.N
+        # extremes, means integral for some M (1/4, 1/2, 3/4, 1), a coarse
+        # grid, and the sharpness mean again at N = 2^21 (an exact tie)
+        ks = {0, 1, N // 4, N // 2, 3 * N // 4, N - 1, N}
+        ks |= {int(k) for k in np.linspace(0, N, 41).round()}
+        ks |= {2 * inst.k for inst in sharpness_instances(M)}
+        return GridSpec(N, tuple(sorted(ks)), "kernel test")
+
+    @pytest.mark.parametrize("block", [sweep.BLOCK_ELEMENTS, 50])
+    @pytest.mark.parametrize("M", [3, 4, 6, 7, 1024, 1053])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
+    def test_matches_per_instance_loop(self, q, M, block, monkeypatch):
+        grid = self.grid(M)
+        candidates = [MeanInstance(k, grid.N, M) for k in grid.ks]
+        candidates += sharpness_instances(M)
+        candidates.sort(key=lambda inst: (inst.k, inst.N))
+        want = [_reference_error(inst, q) for inst in candidates]
+        got = _block_errors(M, q, candidates, [derive_angles(i) for i in candidates])[0]
+        for inst, g, w in zip(candidates, got, want):
+            assert abs(g - w) <= 1e-13 * max(abs(w), abs(g)), (inst, g, w)
+
+        monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", block)
+        if block == 50:
+            assert len(candidates) * M > block  # more rows than one block
+        r = worst_avg_error(M, q, grid, include_sharpness=True)
+        first = int(np.argmax(got))
+        assert (r.argmax_k, r.argmax_N) == (candidates[first].k, candidates[first].N)
+        assert r.worst_error == got[first]
+        # the reference's argmax, unless its maximum is a tie at rounding
+        # level (at q = 2 the error depends on s alone, and the means 1/4
+        # and 1 at M = 1053 have s = 1/2 - 3e-14 and 1/2)
+        top = max(want)
+        near = [i for i, w in enumerate(want) if w >= top * (1.0 - 1e-13)]
+        assert first in near
+        assert abs(r.worst_error - top) <= 1e-13 * top
+
+    def test_tie_goes_to_smallest_k(self):
+        # mean 1/2 at N = 2^20 (injected) and at N = 2^21 (grid) are the
+        # same instance and the M = 6 maximum: the smaller k wins
+        r = worst_avg_error(6, 1.0, self.grid(6), include_sharpness=True)
+        assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
 
 
 class TestAsymptoticTable:
