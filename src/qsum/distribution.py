@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import AngleSet, MeanInstance, derive_angles
+from .numerics import median_cdf_table
 
 __all__ = [
     "OutcomeDistribution",
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _DRIFT_TOL = 1e-10
+
+# Keeps the median polynomial exactly evaluable in double precision and
+# is far beyond any useful repetition count here.
+MAX_REPETITION_N = 64
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,14 @@ def output_value(j: int, M: int) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices j = 0..M-1 as floats, and (M - j) mod M."""
+def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices j = 0..M-1 as floats, (M - j) mod M, and the distinct
+    outputs sin^2(pi j / M) of j = 0..M//2, increasing."""
     j = np.arange(M)
+    alphas = np.sin(np.pi * j[: M // 2 + 1] / M) ** 2
     j, partner = j.astype(float), -j % M
-    j.flags.writeable = partner.flags.writeable = False  # shared by callers
-    return j, partner
+    j.flags.writeable = partner.flags.writeable = alphas.flags.writeable = False  # shared
+    return j, partner, alphas
 
 
 def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -144,15 +151,13 @@ def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _block_errors(
-    M: int,
-    q: float | None,
-    insts: list[MeanInstance],
-    angles: list[AngleSet],
-    integer_tol: float = 1e-9,
-    support_tol: float = 1e-14,
+    M: int, q: float | None, sigma: np.ndarray, s, integral: np.ndarray, ks, Ns,
+    integer_tol: float = 1e-9, support_tol: float = 1e-14,
 ):
-    """Outcome probabilities and errors of a block of instances sharing M,
-    in one numpy pass over (rows x M) arrays.
+    """Outcome probabilities and errors of a block of means ks[i]/Ns[i]
+    sharing M, with angles sigma, s (any float sequence) and the
+    integral-sigma flag as model._block_angles gives them, in one numpy
+    pass over (rows x M) arrays.
 
     Returns (errors, p, err, drift): the per-row L_q error (at q = inf the
     largest error over p > support_tol), the renormalized p(j),
@@ -168,28 +173,27 @@ def _block_errors(
     integer, so its folded sines all exceed sin(pi integer_tol / M); one
     below half of that is a pole the integer detection missed.
     """
-    sigma = np.array([ang.sigma for ang in angles])
-    points = [i for i, ang in enumerate(angles) if ang.sigma_is_integer]
-    j, partner = _index_tables(M)
+    points = integral.nonzero()[0]
+    j, partner, _ = _index_tables(M)
     f1 = _folded_sines(j, sigma)
     err = None if q is None else f1 * f1[:, partner]
-    if points:
+    if len(points):
         f1[points] = 1.0
     guard = 0.5 * math.sin(math.pi * integer_tol / M)
     if f1.min() < guard:
         i = int(np.argmax(f1.min(axis=1) < guard))
         raise ConsistencyError(
             f"near-pole outcome term (|sin| = {f1[i].min():.3e}) for "
-            f"k={insts[i].k}, N={insts[i].N}, M={M} with "
-            f"sigma={angles[i].sigma!r} not flagged integral; "
+            f"k={ks[i]}, N={Ns[i]}, M={M} with "
+            f"sigma={float(sigma[i])!r} not flagged integral; "
             f"integer_tol={integer_tol:g} is too tight for this M"
         )
     # sin^2(pi s) / (2 M^2), which is 0 on integral rows
-    amp = np.array([math.sin(math.pi * ang.s) ** 2 / (2.0 * M * M) for ang in angles])
+    amp = np.array([math.sin(math.pi * x) ** 2 / (2.0 * M * M) for x in s])
     p = f1**-2.0
     p += p[:, partner]
     p *= amp[:, None]
-    if points:
+    if len(points):
         m = np.round(sigma[points]).astype(np.int64) % M
         p[points, np.minimum(m, (M - m) % M)] = 1.0
     if p.min() < -1e-12:
@@ -199,8 +203,8 @@ def _block_errors(
     if drift.max() >= _DRIFT_TOL:
         i = int(np.argmax(drift >= _DRIFT_TOL))
         raise ConsistencyError(
-            f"outcome normalization drift {drift[i]:.3e} for k={insts[i].k}, "
-            f"N={insts[i].N}, M={M}"
+            f"outcome normalization drift {drift[i]:.3e} for k={ks[i]}, "
+            f"N={Ns[i]}, M={M}"
         )
     p /= total[:, None]
     if q is None:
@@ -212,6 +216,50 @@ def _block_errors(
     else:
         errors = (p * err**q).sum(axis=1) ** (1.0 / q)
     return errors, p, err, drift
+
+
+# one-row integral flags for the one-mean callers; the kernel only reads them
+_ROW_FLAGS = (np.array([False]), np.array([True]))
+
+
+def _row(inst: MeanInstance, ang: AngleSet):
+    """The block-kernel arguments (sigma, s, integral, ks, Ns) of one mean."""
+    flag = _ROW_FLAGS[ang.sigma_is_integer]
+    return np.array([ang.sigma]), (ang.s,), flag, (inst.k,), (inst.N,)
+
+
+def _fold_atoms(p: np.ndarray) -> np.ndarray:
+    """Fold p(j) and p(M - j), which share the output of index j, along
+    the last axis: entry j of the result is the mass of output j."""
+    M = p.shape[-1]
+    half = M // 2
+    rhos = p[..., : half + 1].copy()
+    rhos[..., 1 : M - half] += p[..., :half:-1]
+    return rhos
+
+
+def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
+    """Atom masses of the median of 2n+1 draws, along the last axis: the
+    median CDF at each row's atom boundaries, differenced.  n = 0 keeps
+    the atoms, which CDF differences would round."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    if not 0 <= n <= MAX_REPETITION_N:
+        raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
+    if n == 0:
+        return rhos.copy()
+    boundaries = np.zeros(rhos.shape[:-1] + (rhos.shape[-1] + 1,))
+    np.cumsum(rhos, axis=-1, out=boundaries[..., 1:])
+    boundaries[..., -1] = 1.0
+    return np.diff(median_cdf_table(boundaries, int(n)), axis=-1)
+
+
+def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.ndarray:
+    """Per-row L_q error of the median of 2n+1 runs, for outcome
+    probabilities p (rows x M) of the means a, in one table evaluation."""
+    rhos = _median_masses(_fold_atoms(p), n)
+    devs = np.abs(a[:, None] - _index_tables(p.shape[-1])[2]) ** q
+    return np.einsum("ij,ij->i", rhos, devs) ** (1.0 / q)
 
 
 def exact_error(inst: MeanInstance, j: int, integer_tol: float = 1e-9) -> float:
@@ -226,7 +274,7 @@ def error_vector(inst: MeanInstance, angles: AngleSet) -> np.ndarray:
     """exact_error for all j at once: the product form of a one-row block.
     The angles are taken as given, with no integer tolerance behind them,
     so no pole guard applies."""
-    return _block_errors(inst.M, 1.0, [inst], [angles], 0.0)[2][0]
+    return _block_errors(inst.M, 1.0, *_row(inst, angles), 0.0)[2][0]
 
 
 def outcome_distribution(
@@ -240,7 +288,7 @@ def outcome_distribution(
     probability vector; the drift absorbed this way is recorded.
     """
     ang = derive_angles(inst, integer_tol)
-    _, p, _, drift = _block_errors(inst.M, None, [inst], [ang], integer_tol)
+    _, p, _, drift = _block_errors(inst.M, None, *_row(inst, ang), integer_tol)
     return OutcomeDistribution(inst.M, p[0], inst, ang, float(drift[0]))
 
 
@@ -257,15 +305,8 @@ def collapse_outputs(d: OutcomeDistribution) -> OutputDistribution:
         alphas = np.array([d.instance.a])
         rhos = np.array([1.0])
     else:
-        half = M // 2
-        j = np.arange(half + 1)
-        alphas = np.sin(np.pi * j / M) ** 2
-        rhos = np.empty(half + 1)
-        rhos[0] = d.p[0]
-        rhos[1:] = d.p[1 : half + 1]
-        partner = M - j[1:]
-        interior = partner > half
-        rhos[1:][interior] += d.p[partner[interior]]
+        alphas = _index_tables(M)[2]
+        rhos = _fold_atoms(d.p)
         if np.any(np.diff(alphas) <= 0.0):
             alphas, rhos = _merge_ties(alphas, rhos)
     cdf_below = np.concatenate(([0.0], np.cumsum(rhos)[:-1]))

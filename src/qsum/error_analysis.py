@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import _block_errors
+from .distribution import _block_errors, _row
 from .errors import ConvergenceError, DomainError
 from .model import MeanInstance, derive_angles
 from .numerics import integrate_adaptive, sin_power_integral
@@ -90,7 +90,7 @@ def local_avg_error(
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
     ang = derive_angles(inst, integer_tol)
-    return float(_block_errors(inst.M, q, [inst], [ang], integer_tol)[0][0])
+    return float(_block_errors(inst.M, q, *_row(inst, ang), integer_tol)[0][0])
 
 
 def local_sup_error(
@@ -100,7 +100,7 @@ def local_sup_error(
 ) -> float:
     """Largest |a - output(j)| over outcomes with p(j) > support_tol."""
     ang = derive_angles(inst, integer_tol)
-    errors = _block_errors(inst.M, math.inf, [inst], [ang], integer_tol, support_tol)[0]
+    errors = _block_errors(inst.M, math.inf, *_row(inst, ang), integer_tol, support_tol)[0]
     return float(errors[0])
 
 

@@ -112,6 +112,25 @@ def derive_angles(inst: MeanInstance, integer_tol: float = 1e-9) -> AngleSet:
     return AngleSet(theta, sigma, min(s_lo, s_hi), s_lo, s_hi, False)
 
 
+def _block_angles(ks, Ns, M: int, integer_tol: float = 1e-9):
+    """(sigma, s, sigma_is_integer) of the means ks[i]/Ns[i], as arrays
+    bit-identical to derive_angles: theta comes from math.asin per mean,
+    whose results np.arcsin does not reproduce."""
+    ks, Ns = np.asarray(ks), np.asarray(Ns)
+    theta = np.array([math.asin(math.sqrt(k / N)) for k, N in zip(ks.tolist(), Ns.tolist())])
+    sigma = M * theta / math.pi
+    s_lo = sigma - np.floor(sigma)
+    s = np.minimum(s_lo, np.where(s_lo > 0.0, 1.0 - s_lo, 0.0))
+    integral = s <= integer_tol
+    # the exact rational angles 0, pi/4 and pi/2, decided without tolerance
+    for exact, value in ((ks == 0, 0.0), (ks == Ns, M / 2.0), (2 * ks == Ns, M / 4.0)):
+        lo = value % 1.0  # 0, 1/4, 1/2 or 3/4
+        sigma[exact], s[exact], integral[exact] = value, min(lo, 1.0 - lo), lo == 0.0
+    sigma[integral] = np.round(sigma[integral])
+    s[integral] = 0.0
+    return sigma, s, integral
+
+
 def random_instances(
     rng: np.random.Generator,
     count: int,

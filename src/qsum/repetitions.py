@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutputDistribution, collapse_outputs, outcome_distribution
+from .distribution import MAX_REPETITION_N, OutputDistribution, outcome_distribution
+from .distribution import _block_median_errors, _median_masses
 from .errors import DomainError
 from .model import MeanInstance
-from .numerics import median_cdf_table
-from .sweep import GridSpec, default_grid, normalized_constant, sharpness_instances
+from .sweep import GridSpec, default_grid, normalized_constant, worst_avg_error
 
 __all__ = [
     "MedianDistribution",
@@ -31,10 +31,6 @@ __all__ = [
     "repetition_error",
     "check_repetition_theorem",
 ]
-
-# Keeps the median polynomial exactly evaluable in double precision and
-# is far beyond any useful repetition count here.
-MAX_REPETITION_N = 64
 
 # Default grid for repetition-theorem sweeps; the worst case sits near
 # the same means as the base sweep, so a coarser grid than the base
@@ -81,18 +77,7 @@ def median_distribution(base: OutputDistribution, n: int) -> MedianDistribution:
     n = 0 reproduces the base atoms exactly; for n > 0 the atom masses
     sum to 1 up to the accuracy of the median polynomial, by telescoping.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_REPETITION_N:
-        raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
-    if n == 0:
-        # the median of one draw is the draw: keep the base masses, which
-        # CDF differences would round
-        rhos = base.rhos.copy()
-    else:
-        boundaries = np.concatenate(([0.0], np.cumsum(base.rhos)))
-        boundaries[-1] = 1.0
-        rhos = np.diff(median_cdf_table(boundaries, int(n)))
+    rhos = _median_masses(base.rhos, n)
     return MedianDistribution(int(n), base.alphas.copy(), rhos, base)
 
 
@@ -102,45 +87,15 @@ def repetition_error(
     """L_q-average of |a - median output| under 2n+1 repetitions.
 
     Matches local_avg_error at n = 0 and is exactly 0 on the
-    integral-sigma branch (the base is already a point mass at the mean).
+    integral-sigma branch (the base is already a point mass at the mean);
+    a one-row case of the boosted sweep's median step.
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    base = collapse_outputs(outcome_distribution(inst, integer_tol))
-    if base.angles.sigma_is_integer:
+    d = outcome_distribution(inst, integer_tol)
+    if d.angles.sigma_is_integer:
         return 0.0
-    med = median_distribution(base, n)
-    devs = np.abs(inst.a - med.alphas)
-    if q == 1.0:
-        return float(np.dot(med.rhos, devs))
-    return float(np.dot(med.rhos, devs**q) ** (1.0 / q))
-
-
-def _worst_pair(M: int, q: float, n: int, grid: GridSpec | None):
-    """Worst boosted and unboosted errors over the grid in one pass."""
-    if grid is None:
-        grid = default_grid(count=REPS_GRID_COUNT)
-    if grid.N <= M:
-        raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
-    candidates = [MeanInstance(k, grid.N, M) for k in grid.ks]
-    candidates.extend(sharpness_instances(M))
-    worst_rep = 0.0
-    worst_base = 0.0
-    for inst in candidates:
-        base = collapse_outputs(outcome_distribution(inst))
-        if base.angles.sigma_is_integer:
-            continue
-        devs = np.abs(inst.a - base.alphas)
-        dq = devs if q == 1.0 else devs**q
-        e_base = float(np.dot(base.rhos, dq))
-        med = median_distribution(base, n)
-        e_rep = float(np.dot(med.rhos, dq))
-        worst_base = max(worst_base, e_base)
-        worst_rep = max(worst_rep, e_rep)
-    if q != 1.0:
-        worst_base **= 1.0 / q
-        worst_rep **= 1.0 / q
-    return worst_rep, worst_base
+    return float(_block_median_errors(d.p[None], np.array([inst.a]), q, n)[0])
 
 
 def check_repetition_theorem(
@@ -160,9 +115,11 @@ def check_repetition_theorem(
     if list(M_list) != sorted(set(M_list)):
         raise DomainError("M_list must be strictly increasing")
     n = math.ceil(q) + 1
+    grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid
     rows = []
     for M in M_list:
-        worst_rep, worst_base = _worst_pair(M, q, n, grid)
+        worst_base = worst_avg_error(M, q, grid, include_sharpness=True).worst_error
+        worst_rep = worst_avg_error(M, q, grid, n_reps=n, include_sharpness=True).worst_error
         rows.append(
             RepetitionRow(
                 M,

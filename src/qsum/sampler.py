@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutcomeDistribution, outcome_distribution
+from .distribution import OutcomeDistribution, _index_tables
+from .distribution import collapse_outputs, outcome_distribution
 from .errors import DomainError
 from .model import MeanInstance
+from .repetitions import median_distribution
 
 __all__ = [
     "SampleRun",
@@ -35,6 +37,9 @@ _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+# Runs simulated per batch of draws: bounds the draw arrays of a large
+# simulation without changing its result.
+_CHUNK_RUNS = 2**16
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,13 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64 for the given seed, as uint64."""
     if count < 0:
         raise DomainError(f"count must be nonnegative, got {count}")
+    return _splitmix64_from(seed, 0, count)
+
+
+def _splitmix64_from(seed: int, start: int, count: int) -> np.ndarray:
+    """Outputs start .. start+count-1 of SplitMix64 for the given seed."""
     z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * np.arange(
-        1, count + 1, dtype=np.uint64
+        start + 1, start + count + 1, dtype=np.uint64
     )
     z = (z ^ (z >> np.uint64(30))) * _MIX1
     z = (z ^ (z >> np.uint64(27))) * _MIX2
@@ -78,9 +88,14 @@ def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    cum = np.cumsum(d.p)
+    return _sample(d.p, seed, 0, count)
+
+
+def _sample(p: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
+    """Inverse-CDF draws over p from stream outputs start .. start+count-1."""
+    cum = np.cumsum(p)
     cum[-1] = 1.0
-    u = uniform_doubles(seed, count)
+    u = (_splitmix64_from(seed, start, count) >> np.uint64(11)).astype(np.float64) * _U53
     return np.searchsorted(cum, u, side="right").astype(np.int64)
 
 
@@ -106,16 +121,19 @@ def empirical_repetition_error(
         raise DomainError(f"runs must be positive, got {runs}")
     d = outcome_distribution(inst, integer_tol)
     width = 2 * int(n) + 1
-    draws = sample_outcomes(d, runs * width, seed).reshape(runs, width)
-
     j = np.arange(d.M)
-    outputs = np.sin(np.pi * np.minimum(j, d.M - j) / d.M) ** 2
+    outputs = _index_tables(d.M)[2][np.minimum(j, d.M - j)]
     if d.angles.sigma_is_integer:
         # The support point's output equals the mean exactly.
         outputs[int(np.argmax(d.p))] = inst.a
-    medians = np.median(outputs[draws], axis=1)  # odd width: exact order statistic
 
-    stat = np.abs(inst.a - medians) ** q
+    # runs r0 .. r0+c-1 read stream outputs r0*width .. (r0+c)*width - 1
+    stat = np.empty(runs)
+    for r0 in range(0, runs, _CHUNK_RUNS):
+        c = min(_CHUNK_RUNS, runs - r0)
+        draws = _sample(d.p, seed, r0 * width, c * width).reshape(c, width)
+        medians = np.median(outputs[draws], axis=1)  # odd width: exact order statistic
+        stat[r0 : r0 + c] = np.abs(inst.a - medians) ** q
     mean = float(stat.mean())
     se = float(stat.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return SampleRun(int(seed), int(runs), mean ** (1.0 / q), se)
@@ -131,9 +149,6 @@ def exact_standard_error(
     rare atom reports a sample standard error of zero, and this exact
     value takes over there.
     """
-    from .distribution import collapse_outputs
-    from .repetitions import median_distribution
-
     if runs < 1:
         raise DomainError(f"runs must be positive, got {runs}")
     base = collapse_outputs(outcome_distribution(inst, integer_tol))

@@ -6,11 +6,15 @@ resolves the angle's fractional part to ~M/2^20, ample for M up to 10^4),
 augmented with the two constructions known to attain the bounds' rates.
 Every result records its grid so sweeps are reproducible.
 
-Unboosted sweeps evaluate the means of one M in blocks: each block of
-BLOCK_ELEMENTS means x outcomes is one numpy pass of the distribution's
-block kernel, so a block's errors come out exactly as one-mean calls
-(local_avg_error, local_sup_error) would give them.  The block size is
-fixed; it bounds the pass's temporaries, not the result.
+Sweeps evaluate the means of one M in blocks, after deriving all their
+angles in one pass: each block of BLOCK_ELEMENTS means x outcomes is one
+numpy pass of the distribution's block kernel, and of its row-wise median
+step when boosted, so a block's errors come out as one-mean calls
+(local_avg_error, local_sup_error, repetition_error) would give them.
+The block size is fixed; it bounds the pass's temporaries, not the result.
+
+Where errors tie mathematically, rounding picks the argmax: equal s at
+q = 2, and the mirror means a and 1 - a in boosted sweeps.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .distribution import _block_errors
-from .model import MeanInstance, derive_angles
+from .distribution import _block_errors, _block_median_errors
+from .model import MeanInstance, _block_angles
 
 __all__ = [
     "GridSpec",
@@ -139,13 +143,16 @@ def worst_avg_error(
 
     With no grid the default grid is used and the sharpness instances are
     always injected; an explicit grid is swept verbatim unless
-    include_sharpness is set.  Ties in the maximum go to the smallest k
-    (then smallest N), independent of evaluation order.
+    include_sharpness is set.  n_reps > 0 sweeps the error of the median
+    of 2 n_reps + 1 runs (finite q only).  Ties in the maximum go to the
+    smallest k (then smallest N), independent of evaluation order.
     """
     if M < 3:
         raise DomainError(f"sweeps require M >= 3, got M={M}")
     if math.isnan(q) or q < 1.0:
         raise DomainError(f"q must lie in [1, inf], got {q!r}")
+    if n_reps > 0 and math.isinf(q):
+        raise DomainError("boosted sweeps need finite q")
     if include_sharpness is None:
         include_sharpness = grid is None
     if grid is None:
@@ -153,27 +160,28 @@ def worst_avg_error(
     if grid.N <= M:
         raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
 
-    candidates = [MeanInstance(k, grid.N, M) for k in grid.ks]
+    means = [(k, grid.N) for k in grid.ks]
     label = grid.label
     if include_sharpness:
-        candidates.extend(sharpness_instances(M))
+        means += [(inst.k, inst.N) for inst in sharpness_instances(M)]
         label += " + sharpness"
-    candidates.sort(key=lambda inst: (inst.k, inst.N))
-
-    if n_reps > 0:
-        from .repetitions import repetition_error
-
-        errors = [repetition_error(inst, q, n_reps) for inst in candidates]
-    else:
-        angles = [derive_angles(inst) for inst in candidates]
-        rows = max(1, BLOCK_ELEMENTS // M)
-        errors = np.concatenate([
-            _block_errors(M, q, candidates[i : i + rows], angles[i : i + rows])[0]
-            for i in range(0, len(candidates), rows)
-        ])
+    means.sort()
+    ks, Ns = zip(*means)
+    sigma, s, integral = _block_angles(ks, Ns, M)
+    s, boosted = s.tolist(), n_reps > 0
+    rows = max(1, BLOCK_ELEMENTS // M)
+    errors = np.empty(len(means))
+    for i in range(0, len(means), rows):
+        b = slice(i, i + rows)
+        e, p, _, _ = _block_errors(
+            M, None if boosted else q, sigma[b], s[b], integral[b], ks[b], Ns[b]
+        )
+        if boosted:
+            a = np.array([k / N for k, N in means[b]])
+            e = np.where(integral[b], 0.0, _block_median_errors(p, a, q, n_reps))
+        errors[b] = e
     i = int(np.argmax(errors))
-    best = candidates[i]
-    return SweepResult(M, q, n_reps, float(errors[i]), best.k, best.N, label)
+    return SweepResult(M, q, n_reps, float(errors[i]), int(ks[i]), int(Ns[i]), label)
 
 
 def normalized_constant(M: int, q: float, worst_error: float) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qsum.errors import ConsistencyError, DomainError
-from qsum.model import AngleSet, MeanInstance, derive_angles, random_instances
+from qsum.model import MeanInstance, derive_angles, random_instances
 from qsum.error_analysis import local_avg_error, local_sup_error
 from qsum.distribution import (
     OutcomeDistribution,
@@ -71,9 +71,10 @@ class TestOutcomeDistribution:
         # into huge probabilities
         M = 4096
         s = 2.0**-43
-        ang = AngleSet(math.pi * (600 + s) / M, 600 + s, s, s, 1.0 - s, False)
-        with pytest.raises(ConsistencyError, match="near-pole"):
-            _block_errors(M, None, [MeanInstance(1, 2**44, M)], [ang])
+        with pytest.raises(ConsistencyError, match="near-pole.*k=1, N=17592186044416"):
+            _block_errors(
+                M, None, np.array([600 + s]), np.array([s]), np.array([False]), (1,), (2**44,)
+            )
 
     @pytest.mark.parametrize(
         "M, s_target", [(4096, 1.15e-9), (20000, 1.2e-9), (100000, 1.5e-9)]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qsum.errors import DomainError
-from qsum.model import MeanInstance, derive_angles, random_instances
+from qsum.model import MeanInstance, _block_angles, derive_angles, random_instances
+from qsum.sweep import default_grid
 
 
 class TestMeanInstance:
@@ -22,6 +23,36 @@ class TestMeanInstance:
             MeanInstance(1, 8, 0)
         with pytest.raises(DomainError):
             MeanInstance(1.5, 8, 5)
+
+
+def _near_integral_means(M: int, N: int = 2**52) -> list[int]:
+    """k/N with sigma at offsets around integer_tol from integers m."""
+    ks = []
+    for m in {1, M // 3, M // 2 - 1}:
+        for t in (0.0, 2e-10, -5e-10, 9e-10, -9.9e-10, 1.1e-9, -2e-9, 5e-9):
+            ks.append(round(math.sin(math.pi * (m + t) / M) ** 2 * N))
+    return ks
+
+
+class TestBlockAngles:
+    @pytest.mark.parametrize("M", [3, 4, 5, 6, 7, 8, 86, 1053, 4096])
+    def test_bit_identical_to_derive_angles(self, M):
+        cases = [(k, 4096) for k in range(4097)]
+        cases += [(k, 2**20) for k in default_grid().ks]
+        cases += [(k, 2**52) for k in _near_integral_means(M)]
+        ks, Ns = zip(*cases)
+        sigma, s, integral = _block_angles(ks, Ns, M)
+        angs = [derive_angles(MeanInstance(k, N, M)) for k, N in cases]
+        want_sigma = np.array([a.sigma for a in angs])
+        want_s = np.array([a.s for a in angs])
+        want_flag = np.array([a.sigma_is_integer for a in angs])
+        # bit for bit, zeros' signs included
+        assert sigma.tobytes() == want_sigma.tobytes()
+        assert s.tobytes() == want_s.tobytes()
+        assert np.array_equal(integral, want_flag)
+        near_ks = _near_integral_means(M)
+        near = _block_angles(near_ks, [2**52] * len(near_ks), M)[2]
+        assert near.any() and not near.all()  # both sides of the tolerance
 
 
 class TestDeriveAngles:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsum
+from qsum import sampler
 from qsum.errors import DomainError
 from qsum.model import MeanInstance
 from qsum.distribution import outcome_distribution
@@ -120,3 +126,40 @@ class TestEmpiricalRepetitionError:
             empirical_repetition_error(inst, 1.0, -1, 100, seed=1)
         with pytest.raises(DomainError):
             empirical_repetition_error(inst, 1.0, 0, 0, seed=1)
+
+
+class TestChunkedDraws:
+    @staticmethod
+    def one_pass(inst, q, n, runs, seed):
+        """The simulation with every draw materialized at once."""
+        d = outcome_distribution(inst)
+        width = 2 * n + 1
+        draws = sample_outcomes(d, runs * width, seed).reshape(runs, width)
+        j = np.arange(inst.M)
+        outputs = np.sin(np.pi * np.minimum(j, inst.M - j) / inst.M) ** 2
+        stat = np.abs(inst.a - np.median(outputs[draws], axis=1)) ** q
+        se = float(stat.std(ddof=1) / math.sqrt(runs))
+        return float(stat.mean()) ** (1.0 / q), se
+
+    @pytest.mark.parametrize("chunk", [1, 7, 2**16])
+    @pytest.mark.parametrize("q, n", [(1.0, 0), (2.0, 1), (3.0, 3)])
+    def test_chunked_equals_one_pass(self, q, n, chunk, monkeypatch):
+        inst = MeanInstance(5, 32, 10)
+        runs = 250  # 7 does not divide it
+        want = self.one_pass(inst, q, n, runs, seed=77)
+        monkeypatch.setattr(sampler, "_CHUNK_RUNS", chunk)
+        run = empirical_repetition_error(inst, q, n, runs, seed=77)
+        assert (run.empirical_error_q, run.standard_error) == want
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in Path(qsum.__file__).parent.glob("*.py"))
+)
+def test_module_imports_on_its_own(module):
+    # a fresh interpreter per module: no import cycle hides behind an
+    # import order that happens to work
+    name = "qsum" if module == "__init__" else f"qsum.{module}"
+    env = dict(os.environ)
+    src = str(Path(qsum.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", f"import {name}"], check=True, env=env)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from qsum import sweep
-from qsum.distribution import _block_errors
+from qsum.distribution import _block_errors, collapse_outputs, outcome_distribution
 from qsum.errors import DomainError
 from qsum.model import MeanInstance, derive_angles
 from qsum.error_analysis import L1_SLACK_CONSTANT, local_avg_error
+from qsum.repetitions import (
+    REPS_GRID_COUNT,
+    check_repetition_theorem,
+    median_distribution,
+    repetition_error,
+)
 from qsum.sweep import (
     GridSpec,
     asymptotic_table,
@@ -160,7 +166,16 @@ class TestBlockKernel:
         candidates += sharpness_instances(M)
         candidates.sort(key=lambda inst: (inst.k, inst.N))
         want = [_reference_error(inst, q) for inst in candidates]
-        got = _block_errors(M, q, candidates, [derive_angles(i) for i in candidates])[0]
+        angs = [derive_angles(i) for i in candidates]
+        got = _block_errors(
+            M,
+            q,
+            np.array([a.sigma for a in angs]),
+            np.array([a.s for a in angs]),
+            np.array([a.sigma_is_integer for a in angs]),
+            [i.k for i in candidates],
+            [i.N for i in candidates],
+        )[0]
         for inst, g, w in zip(candidates, got, want):
             assert abs(g - w) <= 1e-13 * max(abs(w), abs(g)), (inst, g, w)
 
@@ -184,6 +199,91 @@ class TestBlockKernel:
         # same instance and the M = 6 maximum: the smaller k wins
         r = worst_avg_error(6, 1.0, self.grid(6), include_sharpness=True)
         assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
+
+
+def _median_error_q(inst: MeanInstance, q: float, n: int) -> float:
+    """E|a - median|^q from the output atoms and the median distribution,
+    0 on the integral-sigma branch."""
+    base = collapse_outputs(outcome_distribution(inst))
+    if base.angles.sigma_is_integer:
+        return 0.0
+    rhos = median_distribution(base, n).rhos
+    return float(np.dot(rhos, np.abs(inst.a - base.alphas) ** q))
+
+
+def _assert_max_or_tie(r, candidates, want):
+    """r reports the maximum of want at an argmax whose error ties the
+    maximum within 1e-13 (mirror means a, 1 - a tie under boosting)."""
+    top = max(want)
+    assert abs(r.worst_error - top) <= 1e-13 * top
+    near = {(c.k, c.N) for c, w in zip(candidates, want) if w >= top * (1.0 - 1e-13)}
+    assert (r.argmax_k, r.argmax_N) in near
+
+
+class TestBoostedSweep:
+    N = 2**21
+
+    def candidates(self, M):
+        N = self.N
+        ks = {0, 1, N // 4, N // 2, 3 * N // 4, N - 1, N}
+        ks |= {int(k) for k in np.linspace(0, N, 31).round()}
+        grid = GridSpec(N, tuple(sorted(ks)), "boosted test")
+        insts = [MeanInstance(k, N, M) for k in grid.ks] + sharpness_instances(M)
+        return grid, insts
+
+    @pytest.mark.parametrize("M", [3, 4, 6, 7, 86])
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+    def test_matches_per_instance_loop(self, q, n, M, monkeypatch):
+        grid, insts = self.candidates(M)
+        monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", 40)
+        assert len(insts) * M > 40  # more rows than one block
+        r = worst_avg_error(M, q, grid, n_reps=n, include_sharpness=True)
+        assert r.n_reps == n
+        want = [repetition_error(inst, q, n) for inst in insts]
+        _assert_max_or_tie(r, insts, want)
+        # the same errors from the output atoms, outside the block kernel
+        for inst, w in zip(insts, want):
+            ref = _median_error_q(inst, q, n) ** (1.0 / q)
+            assert abs(w - ref) <= 1e-13 * max(ref, 1e-300), (inst, w, ref)
+
+    def test_integral_means_score_zero(self):
+        # at M = 4 the means 0, 1/2 and 1 have integral sigma: exactly 0,
+        # not the rounding residue of |a - alpha|, and the tie goes to k = 0
+        N = self.N
+        r = worst_avg_error(4, 2.0, GridSpec(N, (0, N // 2, N), "integral"), n_reps=2)
+        assert (r.worst_error, r.argmax_k) == (0.0, 0)
+
+    def test_domain(self):
+        grid = default_grid(count=50)
+        with pytest.raises(DomainError):
+            worst_avg_error(6, math.inf, grid, n_reps=1)
+        with pytest.raises(DomainError):
+            worst_avg_error(6, 2.0, grid, n_reps=65)
+        with pytest.raises(DomainError):
+            worst_avg_error(6, 2.0, grid, n_reps=1.5)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_repetition_theorem_matches_pairwise_formula(self, q):
+        # the former one-mean-at-a-time formula: worst base and boosted
+        # E|a - alpha|^q over grid + sharpness, integral means skipped
+        grid = default_grid(count=150)
+        rows = check_repetition_theorem(q, [6, 22], grid)
+        n = math.ceil(q) + 1
+        for row in rows:
+            insts = [MeanInstance(k, grid.N, row.M) for k in grid.ks]
+            insts += sharpness_instances(row.M)
+            base = max(_median_error_q(i, q, 0) for i in insts) ** (1.0 / q)
+            rep = max(_median_error_q(i, q, n) for i in insts) ** (1.0 / q)
+            assert row.n == n
+            assert abs(row.worst_base_error - base) <= 1e-13 * base
+            assert abs(row.worst_rep_error - rep) <= 1e-13 * rep
+
+    def test_repetition_theorem_default_grid(self):
+        (row,) = check_repetition_theorem(2.0, [6])
+        grid = default_grid(count=REPS_GRID_COUNT)
+        r = worst_avg_error(6, 2.0, grid, n_reps=3, include_sharpness=True)
+        assert row.worst_rep_error == r.worst_error
 
 
 class TestAsymptoticTable:
