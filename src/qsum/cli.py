@@ -22,8 +22,7 @@ from .model import MeanInstance, random_instances
 from .repetitions import check_repetition_theorem, median_distribution, repetition_error
 from .sampler import empirical_repetition_error, exact_standard_error
 from .distribution import collapse_outputs, outcome_distribution
-from .sweep import asymptotic_table, default_grid
-from .numerics import integrate_adaptive, sin_power_integral
+from .sweep import DEFAULT_GRID_COUNT, DEFAULT_GRID_N, asymptotic_table, default_grid
 
 VERIFY_SUITES = (
     "q1",
@@ -34,7 +33,15 @@ VERIFY_SUITES = (
     "reps",
     "mc-crosscheck",
 )
-_STOCHASTIC_SUITES = {"q1", "qgt1", "lemma-avg", "lemma-rect", "mc-crosscheck"}
+# Randomized per-instance suites: the error_analysis check (looked up at
+# call time), whether it needs nonintegral sigma, and the default trials.
+_INSTANCE_SUITES = {
+    "q1": ("check_l1_log_bound", False, 500),
+    "qgt1": ("check_lq_integral_bound", True, 300),
+    "lemma-avg": ("check_l1_cot_sum_bound", True, 500),
+    "lemma-rect": ("check_cot_sum_rectangle_bound", True, 500),
+}
+_QGT1_QS = (1.2, 1.5, 2.0, 3.0, 5.0)
 
 _WORST_M_LIST = [6, 22, 86, 342, 1366]
 _REPS_M_LIST = [6, 22, 86, 342]
@@ -68,10 +75,6 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
-def _q_label(q: float) -> str:
-    return "inf" if math.isinf(q) else _fmt(q)
-
-
 def _parse_m_list(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip()]
@@ -81,6 +84,27 @@ def _parse_m_list(text: str) -> list[int]:
 
 def _emit(lines: list[str]) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
+
+
+def _csv(fields: tuple[str, ...], rows: list[dict]) -> list[str]:
+    """Header plus one line per row; floats as _fmt, bools in lowercase."""
+
+    def cell(v) -> str:
+        if isinstance(v, bool):
+            return str(v).lower()
+        return _fmt(v) if isinstance(v, float) else str(v)
+
+    return [",".join(fields)] + [",".join(cell(r[f]) for f in fields) for r in rows]
+
+
+def _emit_rows(fmt: str, fields: tuple[str, ...], rows: list[dict], one: bool = False) -> None:
+    """Write rows as CSV or as JSON holding only fields; one writes the
+    single row as a JSON object rather than a list."""
+    if fmt == "csv":
+        _emit(_csv(fields, rows))
+        return
+    objs = [{f: r[f] for f in fields} for r in rows]
+    _emit([json.dumps(objs[0] if one else objs)])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,39 +176,23 @@ def _cmd_error(args) -> int:
         err = ea.local_sup_error(inst)
     else:
         err = ea.local_avg_error(inst, args.q)
-    if args.format == "json":
-        _emit([json.dumps({"k": args.k, "N": args.N, "M": args.M,
-                           "q": _q_label(args.q), "error": err})])
-    else:
-        _emit(["k,N,M,q,error",
-               f"{args.k},{args.N},{args.M},{_q_label(args.q)},{_fmt(err)}"])
+    row = {"k": args.k, "N": args.N, "M": args.M, "q": _fmt(args.q), "error": err}
+    _emit_rows(args.format, ("k", "N", "M", "q", "error"), [row], one=True)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     grid = None
     if args.N is not None or args.count is not None or args.dense:
-        N = args.N if args.N is not None else 2**20
+        N = args.N if args.N is not None else DEFAULT_GRID_N
         if args.dense:
             grid = default_grid(N, dense=True)
         else:
-            grid = default_grid(N, args.count if args.count is not None else 10**4)
-    rows = asymptotic_table(args.q, args.m_list, grid, n_reps=args.reps)
-    if args.format == "json":
-        _emit([json.dumps([
-            {"M": r.M, "q": _q_label(r.q), "n_reps": r.n_reps,
-             "worst_error": r.worst_error, "argmax_k": r.argmax_k,
-             "argmax_N": r.argmax_N,
-             "normalized_constant": r.normalized_constant}
-            for r in rows])])
-        return 0
-    lines = ["M,q,n_reps,worst_error,argmax_k,argmax_N,normalized_constant"]
-    for r in rows:
-        lines.append(
-            f"{r.M},{_q_label(r.q)},{r.n_reps},{_fmt(r.worst_error)},"
-            f"{r.argmax_k},{r.argmax_N},{_fmt(r.normalized_constant)}"
-        )
-    _emit(lines)
+            grid = default_grid(N, args.count if args.count is not None else DEFAULT_GRID_COUNT)
+    rows = [dict(vars(r), q=_fmt(r.q))
+            for r in asymptotic_table(args.q, args.m_list, grid, n_reps=args.reps)]
+    _emit_rows(args.format, ("M", "q", "n_reps", "worst_error", "argmax_k",
+                             "argmax_N", "normalized_constant"), rows)
     return 0
 
 
@@ -195,10 +203,8 @@ def _cmd_reps(args) -> int:
     med = median_distribution(collapse_outputs(outcome_distribution(inst)), args.n)
     err = repetition_error(inst, args.q, args.n)
     if args.format == "csv":
-        lines = ["alpha,rho"]
-        lines += [f"{_fmt(a)},{_fmt(r)}" for a, r in med.atoms]
-        lines.append(f"# error,{_fmt(err)}")
-        _emit(lines)
+        rows = [{"alpha": a, "rho": r} for a, r in med.atoms]
+        _emit(_csv(("alpha", "rho"), rows) + [f"# error,{_fmt(err)}"])
         return 0
     _emit([json.dumps({
         "k": args.k, "N": args.N, "M": args.M, "q": args.q, "n": args.n,
@@ -211,59 +217,30 @@ def _cmd_mc(args) -> int:
     if math.isinf(args.q):
         raise QsumError("mc requires finite q")
     run = empirical_repetition_error(inst, args.q, args.n, args.runs, args.seed)
-    payload = {
-        "k": args.k, "N": args.N, "M": args.M, "q": args.q, "n": args.n,
-        "seed": run.seed, "draws": run.draws,
-        "empirical_error_q": run.empirical_error_q,
-        "standard_error": run.standard_error,
-    }
-    if args.format == "csv":
-        _emit(["k,N,M,q,n,seed,draws,empirical_error_q,standard_error",
-               f"{args.k},{args.N},{args.M},{_fmt(args.q)},{args.n},"
-               f"{run.seed},{run.draws},{_fmt(run.empirical_error_q)},"
-               f"{_fmt(run.standard_error)}"])
-        return 0
-    _emit([json.dumps(payload)])
+    row = dict(vars(args), **vars(run))
+    _emit_rows(args.format, ("k", "N", "M", "q", "n", "seed", "draws",
+                             "empirical_error_q", "standard_error"), [row], one=True)
     return 0
 
 
-def _report_row(suite: str, r: ea.BoundReport) -> dict:
-    k, N, M, q = r.context
+def _report_row(suite, observed, main_term, slack, M, q, k=0, N=0) -> dict:
+    """One verify row; satisfied is BoundReport's rule."""
     return {
         "suite": suite, "k": k, "N": N, "M": M, "q": q,
-        "observed": r.observed, "main_term": r.main_term,
-        "slack": r.slack, "satisfied": r.satisfied,
-    }
-
-
-def _synthetic_report(suite, observed, main, slack, M, q, k=0, N=0) -> dict:
-    return {
-        "suite": suite, "k": k, "N": N, "M": M, "q": q,
-        "observed": observed, "main_term": main, "slack": slack,
-        "satisfied": abs(observed - main) <= slack + 1e-9,
+        "observed": observed, "main_term": main_term, "slack": slack,
+        "satisfied": abs(observed - main_term) <= slack + 1e-9,
     }
 
 
 def _suite_instance_checks(suite: str, trials: int, seed: int) -> list[dict]:
+    name, noninteger, _ = _INSTANCE_SUITES[suite]
+    check = getattr(ea, name)
     rng = np.random.default_rng(seed)
     rows = []
-    if suite == "q1":
-        for inst in random_instances(rng, trials):
-            rows.append(_report_row(suite, ea.check_l1_log_bound(inst)))
-    elif suite == "lemma-avg":
-        for inst in random_instances(rng, trials, require_noninteger=True):
-            rows.append(_report_row(suite, ea.check_l1_cot_sum_bound(inst)))
-    elif suite == "lemma-rect":
-        for inst in random_instances(rng, trials, require_noninteger=True):
-            rows.append(_report_row(suite, ea.check_cot_sum_rectangle_bound(inst)))
-    elif suite == "qgt1":
-        qs = (1.2, 1.5, 2.0, 3.0, 5.0)
-        for i, inst in enumerate(
-            random_instances(rng, trials, require_noninteger=True)
-        ):
-            rows.append(
-                _report_row(suite, ea.check_lq_integral_bound(inst, qs[i % len(qs)]))
-            )
+    for i, inst in enumerate(random_instances(rng, trials, require_noninteger=noninteger)):
+        r = check(inst, _QGT1_QS[i % len(_QGT1_QS)]) if suite == "qgt1" else check(inst)
+        k, N, M, q = r.context
+        rows.append(_report_row(suite, r.observed, r.main_term, r.slack, M, q, k, N))
     return rows
 
 
@@ -272,21 +249,18 @@ def _suite_worst() -> list[dict]:
     c_slack = ea.L1_SLACK_CONSTANT
     for r in asymptotic_table(1.0, _WORST_M_LIST):
         rows.append(
-            _synthetic_report("worst", r.normalized_constant, 2.0 / math.pi,
-                              c_slack / math.log(r.M), r.M, 1.0,
-                              r.argmax_k, r.argmax_N)
+            _report_row("worst", r.normalized_constant, 2.0 / math.pi,
+                        c_slack / math.log(r.M), r.M, 1.0,
+                        r.argmax_k, r.argmax_N)
         )
-    upper = (sin_power_integral(0.0) / math.pi) ** 0.5
-    res = integrate_adaptive(
-        lambda x: np.abs(np.cos(x)) ** 2, 0.0, math.pi, 1e-12
-    )
-    lower = (res.value / math.pi) ** 0.5
-    lo_b, hi_b = lower / 1.25, upper * 1.25
+    # The q = 2 constant lies between (integral_0^pi cos^2 / pi)^(1/2) and
+    # (integral_0^pi sin^0 / pi)^(1/2); the integrals are pi/2 and pi.
+    lo_b, hi_b = math.sqrt(0.5) / 1.25, 1.25
     for r in asymptotic_table(2.0, _WORST_M_LIST):
         rows.append(
-            _synthetic_report("worst", r.normalized_constant,
-                              0.5 * (lo_b + hi_b), 0.5 * (hi_b - lo_b),
-                              r.M, 2.0, r.argmax_k, r.argmax_N)
+            _report_row("worst", r.normalized_constant,
+                        0.5 * (lo_b + hi_b), 0.5 * (hi_b - lo_b),
+                        r.M, 2.0, r.argmax_k, r.argmax_N)
         )
     return rows
 
@@ -298,12 +272,10 @@ def _suite_reps() -> list[dict]:
         prods = [row.rep_error_times_m for row in table]
         top = prods[-2:]
         ratio = max(top) / float(np.median(top))
-        rows.append(_synthetic_report("reps", ratio, 1.0, 1.0,
-                                      table[-1].M, q))
+        rows.append(_report_row("reps", ratio, 1.0, 1.0, table[-1].M, q))
         norms = [row.base_normalized for row in table]
         growth = norms[-1] / norms[-2]
-        rows.append(_synthetic_report("reps", growth, 1.0, 0.3,
-                                      table[-1].M, q))
+        rows.append(_report_row("reps", growth, 1.0, 0.3, table[-1].M, q))
     return rows
 
 
@@ -323,14 +295,10 @@ def _suite_mc(seed: int) -> list[dict]:
         exact = repetition_error(inst, q, n)
         se = max(run.standard_error, exact_standard_error(inst, q, n, runs))
         rows.append(
-            _synthetic_report("mc-crosscheck", run.empirical_error_q**q,
-                              exact**q, 4.0 * se,
-                              inst.M, q, inst.k, inst.N)
+            _report_row("mc-crosscheck", run.empirical_error_q**q, exact**q,
+                        4.0 * se, inst.M, q, inst.k, inst.N)
         )
     return rows
-
-
-_DEFAULT_TRIALS = {"q1": 500, "qgt1": 300, "lemma-avg": 500, "lemma-rect": 500}
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
@@ -340,13 +308,14 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         suites = [args.theorem]
     else:
         parser.error("verify needs --theorem or --all")
-    if any(s in _STOCHASTIC_SUITES for s in suites) and args.seed is None:
+    randomized = set(_INSTANCE_SUITES) | {"mc-crosscheck"}
+    if args.seed is None and randomized.intersection(suites):
         parser.error("--seed is required for randomized verification suites")
 
     rows: list[dict] = []
     for suite in suites:
-        if suite in _DEFAULT_TRIALS:
-            trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[suite]
+        if suite in _INSTANCE_SUITES:
+            trials = args.trials if args.trials is not None else _INSTANCE_SUITES[suite][2]
             rows.extend(_suite_instance_checks(suite, trials, args.seed))
         elif suite == "worst":
             rows.extend(_suite_worst())
@@ -355,18 +324,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         elif suite == "mc-crosscheck":
             rows.extend(_suite_mc(args.seed))
 
-    if args.format == "json":
-        _emit([json.dumps([{k: v for k, v in r.items() if k != "suite"}
-                           for r in rows])])
-    else:
-        lines = ["k,N,M,q,observed,main_term,slack,satisfied"]
-        for r in rows:
-            lines.append(
-                f"{r['k']},{r['N']},{r['M']},{_q_label(r['q'])},"
-                f"{_fmt(r['observed'])},{_fmt(r['main_term'])},"
-                f"{_fmt(r['slack'])},{str(r['satisfied']).lower()}"
-            )
-        _emit(lines)
+    _emit_rows(args.format, ("k", "N", "M", "q", "observed", "main_term",
+                             "slack", "satisfied"), rows)
     ok = all(r["satisfied"] for r in rows)
     if not ok:
         for r in rows:

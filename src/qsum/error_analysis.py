@@ -222,8 +222,6 @@ def _lq_integral(
     lo: float,
     hi: float,
     quad_tol: float,
-    singular_lo: bool | None = None,
-    singular_hi: bool | None = None,
 ) -> float:
     if hi <= lo:
         return 0.0
@@ -231,17 +229,13 @@ def _lq_integral(
     # machinery is engaged just when a limit actually sits there, since
     # between them the integrand is bounded and plain bisection certifies
     # a tighter tolerance.
-    if singular_lo is None:
-        singular_lo = q < 2.0 and lo == 0.0
-    if singular_hi is None:
-        singular_hi = q < 2.0 and hi >= math.pi
     res = integrate_adaptive(
         _lq_integrand(theta, q),
         lo,
         hi,
         quad_tol,
-        singular_lo=singular_lo,
-        singular_hi=singular_hi,
+        singular_lo=q < 2.0 and lo == 0.0,
+        singular_hi=q < 2.0 and hi >= math.pi,
     )
     if not res.converged:
         raise ConvergenceError(
@@ -322,8 +316,8 @@ def full_lq_integral(theta: float, q: float, quad_tol: float = 1e-10) -> float:
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
     half = math.pi / 2.0
-    left = _lq_integral(theta, q, 0.0, half, quad_tol, singular_hi=False)
-    right = _lq_integral(-theta, q, 0.0, half, quad_tol, singular_hi=False)
+    left = _lq_integral(theta, q, 0.0, half, quad_tol)
+    right = _lq_integral(-theta, q, 0.0, half, quad_tol)
     return left + right
 
 
@@ -339,7 +333,8 @@ def lq_asymptotic_main_term(
     |sin(x + 2 theta)|^q dx]^(1/q).
 
     The ratio to local_avg_error tends to 1 as M grows at fixed mean with
-    s bounded away from 0.
+    s bounded away from 0.  Below q ~ 1.059 the integral's endpoint blowup
+    defeats the quadrature, and ConvergenceError is raised.
     """
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")

@@ -22,7 +22,7 @@ from .distribution import MAX_REPETITION_N, OutputDistribution, outcome_distribu
 from .distribution import _block_median_errors, _median_masses
 from .errors import DomainError
 from .model import MeanInstance
-from .sweep import GridSpec, default_grid, normalized_constant, worst_avg_error
+from .sweep import GridSpec, _check_m_list, default_grid, normalized_constant, worst_avg_error
 
 __all__ = [
     "MedianDistribution",
@@ -110,10 +110,7 @@ def check_repetition_theorem(
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    if not M_list or any(m < 3 for m in M_list):
-        raise DomainError("M_list must be nonempty with all M >= 3")
-    if list(M_list) != sorted(set(M_list)):
-        raise DomainError("M_list must be strictly increasing")
+    _check_m_list(M_list)
     n = math.ceil(q) + 1
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid
     rows = []

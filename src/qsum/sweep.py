@@ -74,18 +74,11 @@ class SweepResult:
 
 
 @dataclass(frozen=True)
-class AsymptoticRow:
+class AsymptoticRow(SweepResult):
     """One row of a rate table: the sweep result and its normalization
     (worst_error * M/ln M for q = 1, * M^(1/q) for finite q > 1, raw for
     the supremum error)."""
 
-    M: int
-    q: float
-    n_reps: int
-    worst_error: float
-    argmax_k: int
-    argmax_N: int
-    grid_spec: str
     normalized_constant: float
 
 
@@ -143,15 +136,16 @@ def worst_avg_error(
 
     With no grid the default grid is used and the sharpness instances are
     always injected; an explicit grid is swept verbatim unless
-    include_sharpness is set.  n_reps > 0 sweeps the error of the median
-    of 2 n_reps + 1 runs (finite q only).  Ties in the maximum go to the
-    smallest k (then smallest N), independent of evaluation order.
+    include_sharpness is set.  n_reps in [1, 64] sweeps the error of the
+    median of 2 n_reps + 1 runs (finite q only); any other nonzero n_reps
+    raises DomainError.  Ties in the maximum go to the smallest k (then
+    smallest N), independent of evaluation order.
     """
     if M < 3:
         raise DomainError(f"sweeps require M >= 3, got M={M}")
     if math.isnan(q) or q < 1.0:
         raise DomainError(f"q must lie in [1, inf], got {q!r}")
-    if n_reps > 0 and math.isinf(q):
+    if n_reps != 0 and math.isinf(q):
         raise DomainError("boosted sweeps need finite q")
     if include_sharpness is None:
         include_sharpness = grid is None
@@ -168,7 +162,7 @@ def worst_avg_error(
     means.sort()
     ks, Ns = zip(*means)
     sigma, s, integral = _block_angles(ks, Ns, M)
-    s, boosted = s.tolist(), n_reps > 0
+    s, boosted = s.tolist(), n_reps != 0
     rows = max(1, BLOCK_ELEMENTS // M)
     errors = np.empty(len(means))
     for i in range(0, len(means), rows):
@@ -194,6 +188,13 @@ def normalized_constant(M: int, q: float, worst_error: float) -> float:
     return worst_error * M ** (1.0 / q)
 
 
+def _check_m_list(M_list: list[int]) -> None:
+    if not M_list or any(m < 3 for m in M_list):
+        raise DomainError("M_list must be nonempty with all M >= 3")
+    if list(M_list) != sorted(set(M_list)):
+        raise DomainError("M_list must be strictly increasing")
+
+
 def asymptotic_table(
     q: float,
     M_list: list[int],
@@ -202,23 +203,10 @@ def asymptotic_table(
     n_reps: int = 0,
 ) -> list[AsymptoticRow]:
     """Sweep each M in an increasing list and normalize by the rate."""
-    if not M_list or any(m < 3 for m in M_list):
-        raise DomainError("M_list must be nonempty with all M >= 3")
-    if list(M_list) != sorted(set(M_list)):
-        raise DomainError("M_list must be strictly increasing")
+    _check_m_list(M_list)
     rows = []
     for M in M_list:
         r = worst_avg_error(M, q, grid, n_reps=n_reps)
-        rows.append(
-            AsymptoticRow(
-                r.M,
-                r.q,
-                r.n_reps,
-                r.worst_error,
-                r.argmax_k,
-                r.argmax_N,
-                r.grid_spec,
-                normalized_constant(M, q, r.worst_error),
-            )
-        )
+        c = normalized_constant(M, q, r.worst_error)
+        rows.append(AsymptoticRow(**vars(r), normalized_constant=c))
     return rows

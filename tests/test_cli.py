@@ -223,3 +223,60 @@ class TestProcessLevel:
         )
         assert proc.returncode == 2
         assert "error" in proc.stderr
+
+
+def _csv_cell(value) -> str:
+    """How the CSV writer prints a JSON value: floats to 17 digits, bools
+    in lowercase, strings and ints as they are."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+class TestJsonMirrorsCsv:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("error", "--k", "3", "--N", "17", "--M", "7", "--q", "2"),
+            ("error", "--k", "3", "--N", "17", "--M", "7", "--q", "inf"),
+            ("sweep", "--M-list", "6,7", "--q", "1.5", "--N", "1024", "--count", "64"),
+            ("sweep", "--M-list", "6", "--q", "inf", "--N", "1024", "--count", "64"),
+            ("sweep", "--M-list", "6", "--q", "2", "--N", "1024", "--count", "64",
+             "--reps", "2"),
+            ("mc", "--k", "3", "--N", "17", "--M", "7", "--q", "2", "--n", "1",
+             "--runs", "1000", "--seed", "5"),
+            ("verify", "--theorem", "q1", "--trials", "4", "--seed", "3"),
+            ("verify", "--theorem", "qgt1", "--trials", "5", "--seed", "3"),
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_cells_match(self, capsys, argv):
+        code_csv, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        code_json, out_json, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code_csv == code_json == 0
+        header, *lines = out_csv.rstrip("\n").split("\n")
+        payload = json.loads(out_json)
+        rows = payload if isinstance(payload, list) else [payload]
+        assert len(rows) == len(lines) > 0
+        for row, line in zip(rows, lines):
+            assert list(row) == header.split(",")
+            assert [_csv_cell(v) for v in row.values()] == line.split(",")
+
+    def test_zero_trials(self, capsys):
+        argv = ("verify", "--theorem", "q1", "--trials", "0", "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (0, "k,N,M,q,observed,main_term,slack,satisfied\n")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert (code, json.loads(out)) == (0, [])
+
+
+class TestNegativeReps:
+    def test_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--M-list", "6", "--q", "1", "--N", "4096",
+            "--count", "64", "--reps", "-2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")

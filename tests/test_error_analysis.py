@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsum.errors import DomainError
+from qsum.errors import ConvergenceError
 from qsum.model import MeanInstance, derive_angles, random_instances
 from qsum.numerics import integrate_adaptive
 from qsum.error_analysis import (
@@ -262,3 +263,14 @@ class TestRandomizedBatteries:
             assert check_l1_cot_sum_bound(inst).satisfied
             assert check_cot_sum_rectangle_bound(inst).satisfied
             assert check_lq_integral_bound(inst, qs[i % 5]).satisfied
+
+
+class TestMainTermNearQOne:
+    def test_quadrature_limit_pinned(self):
+        # below q ~ 1.059 the folded main-term integral of sin^(q-2) does
+        # not converge; the failure is a ConvergenceError, never another error
+        insts = random_instances(np.random.default_rng(3), 20, require_noninteger=True)
+        for inst in insts[:5]:
+            with pytest.raises(ConvergenceError):
+                lq_asymptotic_main_term(inst, 1.05)
+            assert math.isfinite(lq_asymptotic_main_term(inst, 1.1))

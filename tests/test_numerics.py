@@ -206,3 +206,21 @@ class TestRectangleRule:
             rectangle_rule(lambda x: x, 1.0, 0.0, 4)
         with pytest.raises(DomainError):
             rectangle_rule(lambda x: x, 0.0, 1.0, 0)
+
+
+class TestQuadratureResultTypes:
+    @pytest.mark.parametrize(
+        "f, flags",
+        [
+            (lambda x: x**-0.5, {"singular_lo": True}),
+            (lambda x: (1.0 - x) ** -0.5, {"singular_hi": True}),
+            (lambda x: np.sin(math.pi * x) ** -0.5, {"singular_lo": True, "singular_hi": True}),
+            (np.sin, {}),
+        ],
+    )
+    def test_builtin_types(self, f, flags):
+        res = integrate_adaptive(f, 0.0, 1.0, 1e-10, **flags)
+        assert type(res.value) is float
+        assert type(res.error_estimate) is float
+        assert type(res.evaluations) is int
+        assert res.converged is True

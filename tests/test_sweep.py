@@ -316,3 +316,15 @@ class TestAsymptoticTable:
             asymptotic_table(1.0, [6, 6])
         with pytest.raises(DomainError):
             asymptotic_table(1.0, [22, 6])
+
+
+class TestNegativeReps:
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("n_reps", [-1, -2])
+    def test_rejected(self, q, n_reps):
+        # any nonzero n_reps boosts: a negative count is a domain error,
+        # never a silent unboosted sweep labelled with it
+        with pytest.raises(DomainError):
+            worst_avg_error(6, q, default_grid(4096, 64), n_reps=n_reps)
+        with pytest.raises(DomainError):
+            asymptotic_table(q, [6], default_grid(4096, 64), n_reps=n_reps)
