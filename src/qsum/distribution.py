@@ -23,8 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .model import AngleSet, MeanInstance, derive_angles
-from .numerics import median_cdf_table
+from .model import INTEGER_TOL, AngleSet, MeanInstance, derive_angles
+from .numerics import MAX_REPETITION_N, _check_n, median_cdf_table  # noqa: F401
 
 __all__ = [
     "OutcomeDistribution",
@@ -37,10 +37,9 @@ __all__ = [
 ]
 
 _DRIFT_TOL = 1e-10
-
-# Keeps the median polynomial exactly evaluable in double precision and
-# is far beyond any useful repetition count here.
-MAX_REPETITION_N = 64
+# outcomes with p(j) at or below this are outside the support of the
+# supremum error
+_SUPPORT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,10 @@ class OutcomeDistribution:
 class OutputDistribution:
     """Collapsed distribution over the output values alpha.
 
-    alphas is strictly increasing; cdf_below[i] = sum of rho over atoms
-    strictly below alphas[i] (the left-closed cumulative, 0 at alpha = 0).
+    alphas is nondecreasing: rounding of sin^2 can tie two neighbouring
+    outputs, though not below M = 2.5e8.  cdf_below[i] = sum of rho over
+    the atoms before i, strictly below alphas[i] unless tied (the
+    left-closed cumulative, 0 at alpha = 0).
     """
 
     alphas: np.ndarray
@@ -151,8 +152,7 @@ def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def _block_errors(
-    M: int, q: float | None, sigma: np.ndarray, s, integral: np.ndarray, ks, Ns,
-    integer_tol: float = 1e-9, support_tol: float = 1e-14,
+    M: int, q: float | None, sigma: np.ndarray, s, integral: np.ndarray, ks, Ns
 ):
     """Outcome probabilities and errors of a block of means ks[i]/Ns[i]
     sharing M, with angles sigma, s (any float sequence) and the
@@ -160,7 +160,7 @@ def _block_errors(
     pass over (rows x M) arrays.
 
     Returns (errors, p, err, drift): the per-row L_q error (at q = inf the
-    largest error over p > support_tol), the renormalized p(j),
+    largest error over p > _SUPPORT_TOL), the renormalized p(j),
     |a - output(j)| in product form (errors and err are None when q is
     None), and the drift |sum p - 1| that renormalization absorbed.  Each
     row's closed-form p(j) is checked for nonnegativity and unit mass
@@ -169,8 +169,8 @@ def _block_errors(
     An integral-sigma row is a point mass on the canonical index realizing
     output = a (the smaller of sigma mod M and M - sigma mod M; both map to
     the same output), where the product form vanishes, so its error is
-    exactly 0.  Any other sigma lies more than integer_tol from every
-    integer, so its folded sines all exceed sin(pi integer_tol / M); one
+    exactly 0.  Any other sigma lies more than INTEGER_TOL from every
+    integer, so its folded sines all exceed sin(pi INTEGER_TOL / M); one
     below half of that is a pole the integer detection missed.
     """
     points = integral.nonzero()[0]
@@ -179,14 +179,14 @@ def _block_errors(
     err = None if q is None else f1 * f1[:, partner]
     if len(points):
         f1[points] = 1.0
-    guard = 0.5 * math.sin(math.pi * integer_tol / M)
+    guard = 0.5 * math.sin(math.pi * INTEGER_TOL / M)
     if f1.min() < guard:
         i = int(np.argmax(f1.min(axis=1) < guard))
         raise ConsistencyError(
             f"near-pole outcome term (|sin| = {f1[i].min():.3e}) for "
             f"k={ks[i]}, N={Ns[i]}, M={M} with "
-            f"sigma={float(sigma[i])!r} not flagged integral; "
-            f"integer_tol={integer_tol:g} is too tight for this M"
+            f"sigma={float(sigma[i])!r} not flagged integral at "
+            f"INTEGER_TOL={INTEGER_TOL:g}"
         )
     # sin^2(pi s) / (2 M^2), which is 0 on integral rows
     amp = np.array([math.sin(math.pi * x) ** 2 / (2.0 * M * M) for x in s])
@@ -210,7 +210,7 @@ def _block_errors(
     if q is None:
         errors = None
     elif math.isinf(q):
-        errors = np.where(p > support_tol, err, 0.0).max(axis=1)
+        errors = np.where(p > _SUPPORT_TOL, err, 0.0).max(axis=1)
     elif q == 1.0:
         errors = (p * err).sum(axis=1)
     else:
@@ -242,16 +242,13 @@ def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
     """Atom masses of the median of 2n+1 draws, along the last axis: the
     median CDF at each row's atom boundaries, differenced.  n = 0 keeps
     the atoms, which CDF differences would round."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n must be an integer, got {n!r}")
-    if not 0 <= n <= MAX_REPETITION_N:
-        raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
+    n = _check_n(n)
     if n == 0:
         return rhos.copy()
     boundaries = np.zeros(rhos.shape[:-1] + (rhos.shape[-1] + 1,))
     np.cumsum(rhos, axis=-1, out=boundaries[..., 1:])
     boundaries[..., -1] = 1.0
-    return np.diff(median_cdf_table(boundaries, int(n)), axis=-1)
+    return np.diff(median_cdf_table(boundaries, n), axis=-1)
 
 
 def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.ndarray:
@@ -262,24 +259,24 @@ def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.n
     return np.einsum("ij,ij->i", rhos, devs) ** (1.0 / q)
 
 
-def exact_error(inst: MeanInstance, j: int, integer_tol: float = 1e-9) -> float:
+def exact_error(inst: MeanInstance, j: int) -> float:
     """|a - output(j)| via the product form |sin(pi(j-sigma)/M) sin(pi(j+sigma)/M)|."""
     M = inst.M
     if not 0 <= j < M:
         raise DomainError(f"index j={j} out of range for M={M}")
-    return float(error_vector(inst, derive_angles(inst, integer_tol))[j])
+    return float(error_vector(inst, derive_angles(inst))[j])
 
 
 def error_vector(inst: MeanInstance, angles: AngleSet) -> np.ndarray:
-    """exact_error for all j at once: the product form of a one-row block.
-    The angles are taken as given, with no integer tolerance behind them,
-    so no pole guard applies."""
-    return _block_errors(inst.M, 1.0, *_row(inst, angles), 0.0)[2][0]
+    """exact_error for all j at once: the block kernel's product form for
+    one row.  The angles are taken as given, with no integer tolerance
+    behind them, so no pole guard applies."""
+    j, partner, _ = _index_tables(inst.M)
+    f = _folded_sines(j, np.array([angles.sigma]))[0]
+    return f * f[partner]
 
 
-def outcome_distribution(
-    inst: MeanInstance, integer_tol: float = 1e-9
-) -> OutcomeDistribution:
+def outcome_distribution(inst: MeanInstance) -> OutcomeDistribution:
     """Construct the exact outcome distribution of an instance.
 
     Integral sigma yields a point mass on an index whose output equals a.
@@ -287,8 +284,8 @@ def outcome_distribution(
     by its computed sum, so downstream expectations see an exact
     probability vector; the drift absorbed this way is recorded.
     """
-    ang = derive_angles(inst, integer_tol)
-    _, p, _, drift = _block_errors(inst.M, None, *_row(inst, ang), integer_tol)
+    ang = derive_angles(inst)
+    _, p, _, drift = _block_errors(inst.M, None, *_row(inst, ang))
     return OutcomeDistribution(inst.M, p[0], inst, ang, float(drift[0]))
 
 
@@ -297,8 +294,10 @@ def collapse_outputs(d: OutcomeDistribution) -> OutputDistribution:
     atoms over distinct outputs, and tabulate the strict-below CDF.
 
     On the integral-sigma branch the single atom sits exactly at the mean.
-    Atom outputs are strictly increasing for j = 0..floor(M/2); equal
-    neighbours (possible only through rounding of sin^2) would be merged.
+    Otherwise the atoms are the outputs of j = 0..floor(M/2), kept even
+    where sin^2 rounds neighbours to one value: that first happens past
+    M = 2.5e8, where the outcome arrays alone need gigabytes, and a tie
+    changes neither cdf() nor the median's mass at any output value.
     """
     M = d.M
     if d.angles.sigma_is_integer:
@@ -307,22 +306,8 @@ def collapse_outputs(d: OutcomeDistribution) -> OutputDistribution:
     else:
         alphas = _index_tables(M)[2]
         rhos = _fold_atoms(d.p)
-        if np.any(np.diff(alphas) <= 0.0):
-            alphas, rhos = _merge_ties(alphas, rhos)
     cdf_below = np.concatenate(([0.0], np.cumsum(rhos)[:-1]))
     return OutputDistribution(alphas, rhos, cdf_below, d.instance, d.angles)
-
-
-def _merge_ties(alphas: np.ndarray, rhos: np.ndarray):
-    out_a: list[float] = [float(alphas[0])]
-    out_r: list[float] = [float(rhos[0])]
-    for a, r in zip(alphas[1:], rhos[1:]):
-        if a <= out_a[-1]:
-            out_r[-1] += float(r)
-        else:
-            out_a.append(float(a))
-            out_r.append(float(r))
-    return np.array(out_a), np.array(out_r)
 
 
 def event_probability(d: OutcomeDistribution, indices: Iterable[int]) -> float:

@@ -35,6 +35,12 @@ __all__ = [
 # are both at rounding level.
 _GUARD = 1e-9
 
+# Absolute accuracy targets of the q > 1 main terms: check_lq_integral_bound
+# budgets its main term (the q-th power), lq_asymptotic_main_term its
+# full integral.
+_CHECK_QUAD_TOL = 5e-10
+_MAIN_QUAD_TOL = 1e-10
+
 # Constant of the q = 1 local bound's deviation term, (3 pi + 2 + ln pi^2)/pi.
 L1_SLACK_CONSTANT = (3.0 * math.pi + 2.0 + math.log(math.pi**2)) / math.pi
 
@@ -77,9 +83,7 @@ def _report(
     )
 
 
-def local_avg_error(
-    inst: MeanInstance, q: float, integer_tol: float = 1e-9
-) -> float:
+def local_avg_error(inst: MeanInstance, q: float) -> float:
     """L_q-average of |a - output| under the outcome distribution.
 
     (sum_j p(j) |a - output(j)|^q)^(1/q); exactly 0 on the integral-sigma
@@ -89,28 +93,23 @@ def local_avg_error(
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    ang = derive_angles(inst, integer_tol)
-    return float(_block_errors(inst.M, q, *_row(inst, ang), integer_tol)[0][0])
+    ang = derive_angles(inst)
+    return float(_block_errors(inst.M, q, *_row(inst, ang))[0][0])
 
 
-def local_sup_error(
-    inst: MeanInstance,
-    support_tol: float = 1e-14,
-    integer_tol: float = 1e-9,
-) -> float:
-    """Largest |a - output(j)| over outcomes with p(j) > support_tol."""
-    ang = derive_angles(inst, integer_tol)
-    errors = _block_errors(inst.M, math.inf, *_row(inst, ang), integer_tol, support_tol)[0]
-    return float(errors[0])
+def local_sup_error(inst: MeanInstance) -> float:
+    """Largest |a - output(j)| over outcomes with p(j) > 1e-14."""
+    ang = derive_angles(inst)
+    return float(_block_errors(inst.M, math.inf, *_row(inst, ang))[0][0])
 
 
-def cot_sum(inst: MeanInstance, integer_tol: float = 1e-9) -> float:
+def cot_sum(inst: MeanInstance) -> float:
     """(1/M) sum_j |cot(pi (j + s) / M)| over j = 0..M-1.
 
     Defined only off the integral-sigma branch (s = 0 would place a
     cotangent pole at j = 0).
     """
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     if ang.sigma_is_integer:
         raise DomainError("cot_sum is undefined when sigma is integral")
     M = inst.M
@@ -122,28 +121,24 @@ def cot_sum(inst: MeanInstance, integer_tol: float = 1e-9) -> float:
     return float(np.abs(np.cos(x) / np.sin(x)).sum() / M)
 
 
-def check_l1_cot_sum_bound(
-    inst: MeanInstance, integer_tol: float = 1e-9
-) -> BoundReport:
+def check_l1_cot_sum_bound(inst: MeanInstance) -> BoundReport:
     """q = 1 local error vs its cotangent-sum approximation.
 
     |e_1 - sin^2(pi s) sin(2 theta) cot_sum / M| is bounded by
     sin^2(pi s) |cos(2 theta)| / M.
     """
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     if ang.sigma_is_integer:
         raise DomainError("bound requires nonintegral sigma")
     M = inst.M
     sin2 = math.sin(math.pi * ang.s) ** 2
-    observed = local_avg_error(inst, 1.0, integer_tol)
-    main = sin2 * math.sin(2.0 * ang.theta) * cot_sum(inst, integer_tol) / M
+    observed = local_avg_error(inst, 1.0)
+    main = sin2 * math.sin(2.0 * ang.theta) * cot_sum(inst) / M
     slack = sin2 * abs(math.cos(2.0 * ang.theta)) / M
     return _report(observed, main, slack, inst, 1.0)
 
 
-def check_cot_sum_rectangle_bound(
-    inst: MeanInstance, integer_tol: float = 1e-9
-) -> BoundReport:
+def check_cot_sum_rectangle_bound(inst: MeanInstance) -> BoundReport:
     """cot_sum vs its integral main term, the bound behind the q = 1 rate.
 
     The sum is a left-rectangle rule for (1/pi) integral |cot| between
@@ -160,11 +155,11 @@ def check_cot_sum_rectangle_bound(
     """
     if inst.M < 3:
         raise DomainError(f"bound requires M >= 3, got M={inst.M}")
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     if ang.sigma_is_integer:
         raise DomainError("bound requires nonintegral sigma")
     M, s = inst.M, ang.s
-    observed = cot_sum(inst, integer_tol)
+    observed = cot_sum(inst)
     lower_limit = math.pi * (1.0 + s) / M
     # the upper limit pi(M-1+s)/M reflects to pi(1-s)/M, where both the
     # boundary cotangent and the closed forms are evaluated accurately
@@ -183,7 +178,7 @@ def check_cot_sum_rectangle_bound(
     return _report(observed, main, slack, inst, 1.0)
 
 
-def check_l1_log_bound(inst: MeanInstance, integer_tol: float = 1e-9) -> BoundReport:
+def check_l1_log_bound(inst: MeanInstance) -> BoundReport:
     """q = 1 local error vs its (ln M)/M closed form, for M >= 3.
 
     |e_1 - (2/pi) sin^2(pi s) sin(2 theta) ln(M)/M| is bounded by
@@ -192,9 +187,9 @@ def check_l1_log_bound(inst: MeanInstance, integer_tol: float = 1e-9) -> BoundRe
     """
     if inst.M < 3:
         raise DomainError(f"bound requires M >= 3, got M={inst.M}")
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     M = inst.M
-    observed = local_avg_error(inst, 1.0, integer_tol)
+    observed = local_avg_error(inst, 1.0)
     sin_pi_s = math.sin(math.pi * ang.s)
     main = (
         (2.0 / math.pi)
@@ -245,12 +240,7 @@ def _lq_integral(
     return res.value
 
 
-def check_lq_integral_bound(
-    inst: MeanInstance,
-    q: float,
-    integer_tol: float = 1e-9,
-    quad_tol: float = 5e-10,
-) -> BoundReport:
+def check_lq_integral_bound(inst: MeanInstance, q: float) -> BoundReport:
     """q > 1 local error (to the q-th power) vs its integral main term.
 
     Main term: sin^2(pi s)/(M pi) * integral of sin(x)^(q-2)
@@ -266,18 +256,19 @@ def check_lq_integral_bound(
     """
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     if ang.sigma_is_integer:
         raise DomainError("bound requires nonintegral sigma")
     M = inst.M
-    observed = local_avg_error(inst, q, integer_tol) ** q
+    observed = local_avg_error(inst, q) ** q
     sin_pi_s = math.sin(math.pi * ang.s)
     pref = sin_pi_s**2 / (M * math.pi)
-    # quad_tol budgets the MAIN TERM; the integral itself may be certified
-    # proportionally looser when the prefactor is small (for near-integral
-    # sigma the limits almost touch pi, where argument quantization makes
-    # tight absolute certification of the integral impossible anyway).
-    integral_tol = min(quad_tol / pref, 1e-3)
+    # _CHECK_QUAD_TOL budgets the MAIN TERM; the integral itself may be
+    # certified proportionally looser when the prefactor is small (for
+    # near-integral sigma the limits almost touch pi, where argument
+    # quantization makes tight absolute certification of the integral
+    # impossible anyway).
+    integral_tol = min(_CHECK_QUAD_TOL / pref, 1e-3)
 
     main_primary = pref * _lq_integral(
         ang.theta, q, math.pi * ang.s_hi / M, math.pi * (1.0 - ang.s_lo / M),
@@ -306,7 +297,7 @@ def check_lq_integral_bound(
     )
 
 
-def full_lq_integral(theta: float, q: float, quad_tol: float = 1e-10) -> float:
+def full_lq_integral(theta: float, q: float) -> float:
     """integral_0^pi sin(x)^(q-2) |sin(x + 2 theta)|^q dx for q > 1.
 
     Folded about pi/2 so both integrable sin^(q-2) blowups (q < 2) sit at
@@ -316,17 +307,12 @@ def full_lq_integral(theta: float, q: float, quad_tol: float = 1e-10) -> float:
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
     half = math.pi / 2.0
-    left = _lq_integral(theta, q, 0.0, half, quad_tol)
-    right = _lq_integral(-theta, q, 0.0, half, quad_tol)
+    left = _lq_integral(theta, q, 0.0, half, _MAIN_QUAD_TOL)
+    right = _lq_integral(-theta, q, 0.0, half, _MAIN_QUAD_TOL)
     return left + right
 
 
-def lq_asymptotic_main_term(
-    inst: MeanInstance,
-    q: float,
-    integer_tol: float = 1e-9,
-    quad_tol: float = 1e-10,
-) -> float:
+def lq_asymptotic_main_term(inst: MeanInstance, q: float) -> float:
     """Leading term of the q > 1 local error itself (not its q-th power):
 
     M^(-1/q) * [sin^2(pi s)/pi * integral_0^pi sin(x)^(q-2)
@@ -338,9 +324,9 @@ def lq_asymptotic_main_term(
     """
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
-    ang = derive_angles(inst, integer_tol)
+    ang = derive_angles(inst)
     if ang.sigma_is_integer:
         raise DomainError("main term requires nonintegral sigma")
-    integral = full_lq_integral(ang.theta, q, quad_tol)
+    integral = full_lq_integral(ang.theta, q)
     sin2 = math.sin(math.pi * ang.s) ** 2
     return (sin2 / math.pi * integral) ** (1.0 / q) / inst.M ** (1.0 / q)

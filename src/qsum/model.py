@@ -18,6 +18,10 @@ from .errors import DomainError
 
 __all__ = ["MeanInstance", "AngleSet", "derive_angles", "random_instances"]
 
+# sigma within this distance of an integer counts as integral: the one
+# decision of which means the estimator answers exactly.
+INTEGER_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class MeanInstance:
@@ -73,7 +77,7 @@ def _snapped(theta: float, sigma: float) -> AngleSet:
     return AngleSet(theta, float(round(sigma)), 0.0, 0.0, 0.0, True)
 
 
-def derive_angles(inst: MeanInstance, integer_tol: float = 1e-9) -> AngleSet:
+def derive_angles(inst: MeanInstance, integer_tol: float = INTEGER_TOL) -> AngleSet:
     """Compute the AngleSet of an instance.
 
     sigma_is_integer holds iff sigma is within integer_tol of an integer.
@@ -112,16 +116,16 @@ def derive_angles(inst: MeanInstance, integer_tol: float = 1e-9) -> AngleSet:
     return AngleSet(theta, sigma, min(s_lo, s_hi), s_lo, s_hi, False)
 
 
-def _block_angles(ks, Ns, M: int, integer_tol: float = 1e-9):
+def _block_angles(ks, Ns, M: int):
     """(sigma, s, sigma_is_integer) of the means ks[i]/Ns[i], as arrays
-    bit-identical to derive_angles: theta comes from math.asin per mean,
-    whose results np.arcsin does not reproduce."""
+    bit-identical to derive_angles at INTEGER_TOL: theta comes from
+    math.asin per mean, whose results np.arcsin does not reproduce."""
     ks, Ns = np.asarray(ks), np.asarray(Ns)
     theta = np.array([math.asin(math.sqrt(k / N)) for k, N in zip(ks.tolist(), Ns.tolist())])
     sigma = M * theta / math.pi
     s_lo = sigma - np.floor(sigma)
     s = np.minimum(s_lo, np.where(s_lo > 0.0, 1.0 - s_lo, 0.0))
-    integral = s <= integer_tol
+    integral = s <= INTEGER_TOL
     # the exact rational angles 0, pi/4 and pi/2, decided without tolerance
     for exact, value in ((ks == 0, 0.0), (ks == Ns, M / 2.0), (2 * ks == Ns, M / 4.0)):
         lo = value % 1.0  # 0, 1/4, 1/2 or 3/4
@@ -138,7 +142,6 @@ def random_instances(
     m_range: tuple[int, int] = (3, 4096),
     n_max: int = 2**20,
     require_noninteger: bool = False,
-    integer_tol: float = 1e-9,
 ) -> list[MeanInstance]:
     """Draw instances with M in m_range, N in (M, n_max], k in [0, N].
 
@@ -156,7 +159,7 @@ def random_instances(
         N = int(rng.integers(M + 1, n_max + 1))
         k = int(rng.integers(0, N + 1))
         inst = MeanInstance(k, N, M)
-        if require_noninteger and derive_angles(inst, integer_tol).sigma_is_integer:
+        if require_noninteger and derive_angles(inst).sigma_is_integer:
             continue
         out.append(inst)
     return out

@@ -50,10 +50,18 @@ def _median_tail(x, n: int):
     return acc
 
 
+# Keeps the median polynomial exactly evaluable in double precision and
+# is far beyond any useful repetition count here.
+MAX_REPETITION_N = 64
+
+
 def _check_n(n) -> int:
-    """The median polynomial's n: an integer in [0, 64]."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n <= 64:
-        raise DomainError(f"n must be an integer in [0, 64], got {n!r}")
+    """The median polynomial's n: an integer (not a bool) in
+    [0, MAX_REPETITION_N]."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"n must be an integer, got {n!r}")
+    if not 0 <= n <= MAX_REPETITION_N:
+        raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
     return int(n)
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import MAX_REPETITION_N, OutputDistribution, outcome_distribution
+from .distribution import OutputDistribution, outcome_distribution
 from .distribution import _block_median_errors, _median_masses
 from .errors import DomainError
 from .model import MeanInstance
+from .numerics import MAX_REPETITION_N  # noqa: F401
 from .sweep import GridSpec, _check_m_list, default_grid, normalized_constant, worst_avg_error
 
 __all__ = [
@@ -81,9 +82,7 @@ def median_distribution(base: OutputDistribution, n: int) -> MedianDistribution:
     return MedianDistribution(int(n), base.alphas.copy(), rhos, base)
 
 
-def repetition_error(
-    inst: MeanInstance, q: float, n: int, integer_tol: float = 1e-9
-) -> float:
+def repetition_error(inst: MeanInstance, q: float, n: int) -> float:
     """L_q-average of |a - median output| under 2n+1 repetitions.
 
     Matches local_avg_error at n = 0 and is exactly 0 on the
@@ -92,7 +91,7 @@ def repetition_error(
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    d = outcome_distribution(inst, integer_tol)
+    d = outcome_distribution(inst)
     if d.angles.sigma_is_integer:
         return 0.0
     return float(_block_median_errors(d.p[None], np.array([inst.a]), q, n)[0])

@@ -105,7 +105,6 @@ def empirical_repetition_error(
     n: int,
     runs: int,
     seed: int,
-    integer_tol: float = 1e-9,
 ) -> SampleRun:
     """Simulate `runs` medians of 2n+1 outputs and average |a - median|^q.
 
@@ -119,7 +118,7 @@ def empirical_repetition_error(
         raise DomainError(f"n must be a nonnegative integer, got {n!r}")
     if runs < 1:
         raise DomainError(f"runs must be positive, got {runs}")
-    d = outcome_distribution(inst, integer_tol)
+    d = outcome_distribution(inst)
     width = 2 * int(n) + 1
     j = np.arange(d.M)
     outputs = _index_tables(d.M)[2][np.minimum(j, d.M - j)]
@@ -139,9 +138,7 @@ def empirical_repetition_error(
     return SampleRun(int(seed), int(runs), mean ** (1.0 / q), se)
 
 
-def exact_standard_error(
-    inst: MeanInstance, q: float, n: int, runs: int, integer_tol: float = 1e-9
-) -> float:
+def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> float:
     """Standard error of the mean of |a - median|^q over `runs` samples,
     from the exact median distribution.
 
@@ -151,7 +148,7 @@ def exact_standard_error(
     """
     if runs < 1:
         raise DomainError(f"runs must be positive, got {runs}")
-    base = collapse_outputs(outcome_distribution(inst, integer_tol))
+    base = collapse_outputs(outcome_distribution(inst))
     med = median_distribution(base, n)
     devs = np.abs(inst.a - med.alphas) ** q
     mean = float(np.dot(med.rhos, devs))

@@ -224,3 +224,42 @@ class TestQuadratureResultTypes:
         assert type(res.error_estimate) is float
         assert type(res.evaluations) is int
         assert res.converged is True
+
+
+class TestMedianNRule:
+    """One n-rule for every median-polynomial entry point."""
+
+    @staticmethod
+    def _entry_points():
+        from qsum.distribution import collapse_outputs, outcome_distribution
+        from qsum.model import MeanInstance
+        from qsum.repetitions import median_distribution
+
+        base = collapse_outputs(outcome_distribution(MeanInstance(1, 3, 6)))
+        return (
+            lambda n: regularized_incomplete_beta(0.3, n),
+            lambda n: median_cdf_table([0.3], n),
+            lambda n: median_distribution(base, n),
+        )
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (True, "n must be an integer, got True"),
+            (False, "n must be an integer, got False"),
+            (1.0, "n must be an integer, got 1.0"),
+            (-1, r"n must lie in \[0, 64\], got -1"),
+            (65, r"n must lie in \[0, 64\], got 65"),
+            (np.int64(65), r"n must lie in \[0, 64\], got 65"),
+        ],
+    )
+    def test_rejected_alike(self, n, message):
+        for call in self._entry_points():
+            with pytest.raises(DomainError, match=f"^{message}$"):
+                call(n)
+
+    def test_integer_types_accepted(self):
+        for call in self._entry_points():
+            for n in (0, 64, np.int64(1)):
+                call(n)
+        assert regularized_incomplete_beta(0.3, np.int64(1)) == pytest.approx(0.216)
