@@ -240,15 +240,29 @@ def _fold_atoms(p: np.ndarray) -> np.ndarray:
 
 def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
     """Atom masses of the median of 2n+1 draws, along the last axis: the
-    median CDF at each row's atom boundaries, differenced.  n = 0 keeps
-    the atoms, which CDF differences would round."""
+    median CDF I at each row's atom boundaries, differenced.  n = 0 keeps
+    the atoms, which CDF differences would round.
+
+    Each boundary is read from its nearer tail, so no difference is taken
+    between two values near 1: where the left cumulative F <= 1/2 the value
+    is I(F); beyond it, it is I(F) - 1 = -I(G), with the right tail G
+    summed from the right.  All these points go through one table call.
+    The one atom whose boundaries straddle the switch gets the 1 back, so
+    the masses still telescope to I(1) - I(0) = 1.
+    """
     n = _check_n(n)
     if n == 0:
         return rhos.copy()
-    boundaries = np.zeros(rhos.shape[:-1] + (rhos.shape[-1] + 1,))
-    np.cumsum(rhos, axis=-1, out=boundaries[..., 1:])
-    boundaries[..., -1] = 1.0
-    return np.diff(median_cdf_table(boundaries, n), axis=-1)
+    shape = rhos.shape[:-1] + (rhos.shape[-1] + 1,)
+    left, right = np.zeros(shape), np.zeros(shape)
+    np.cumsum(rhos, axis=-1, out=left[..., 1:])
+    np.cumsum(rhos[..., ::-1], axis=-1, out=right[..., -2::-1])
+    near = left <= 0.5
+    tails = median_cdf_table(np.where(near, left, right), n)
+    np.negative(tails, out=tails, where=~near)
+    masses = np.diff(tails, axis=-1)
+    masses[near[..., :-1] & ~near[..., 1:]] += 1.0
+    return masses
 
 
 def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.ndarray:

@@ -7,8 +7,11 @@ probabilities are exact incomplete-beta differences
 
     rho_n(alpha) = I(F(alpha) + rho(alpha)) - I(F(alpha)),
 
-with I the CDF of the median of 2n+1 uniforms; evaluating I once per
-atom boundary makes the masses telescope to I(1) - I(0) = 1 exactly.
+with I the CDF of the median of 2n+1 uniforms.  I is evaluated once per
+atom boundary, from the nearer tail: at F below the median, and through
+I(F) = 1 - I(G) at the mass G to the right beyond it, so no mass is a
+difference of two values near 1.  The masses telescope to
+I(1) - I(0) = 1 up to the rounding of each difference.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .distribution import _block_median_errors, _median_masses
 from .errors import DomainError
 from .model import MeanInstance
 from .numerics import MAX_REPETITION_N  # noqa: F401
-from .sweep import GridSpec, _check_m_list, default_grid, normalized_constant, worst_avg_error
+from .sweep import GridSpec, _check_m_list, _grid_errors, default_grid, normalized_constant
 
 __all__ = [
     "MedianDistribution",
@@ -75,8 +78,11 @@ class RepetitionRow:
 def median_distribution(base: OutputDistribution, n: int) -> MedianDistribution:
     """Exact distribution of the median of 2n+1 draws from base.
 
-    n = 0 reproduces the base atoms exactly; for n > 0 the atom masses
-    sum to 1 up to the accuracy of the median polynomial, by telescoping.
+    n = 0 reproduces the base atoms exactly.  For n > 0 each mass is a
+    difference of the median CDF at its atom's two boundaries, each read
+    from its nearer tail, so small masses on either side of the median
+    keep their relative accuracy; the masses sum to 1 up to rounding, by
+    telescoping.
     """
     rhos = _median_masses(base.rhos, n)
     return MedianDistribution(int(n), base.alphas.copy(), rhos, base)
@@ -114,8 +120,8 @@ def check_repetition_theorem(
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid
     rows = []
     for M in M_list:
-        worst_base = worst_avg_error(M, q, grid, include_sharpness=True).worst_error
-        worst_rep = worst_avg_error(M, q, grid, n_reps=n, include_sharpness=True).worst_error
+        # both columns from one block-kernel pass per block of means
+        worst_base, worst_rep = _grid_errors(M, q, grid, True, (0, n))[3].max(axis=1).tolist()
         rows.append(
             RepetitionRow(
                 M,

@@ -38,8 +38,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 # Runs simulated per batch of draws: bounds the draw arrays of a large
-# simulation without changing its result.
-_CHUNK_RUNS = 2**16
+# simulation without changing its result.  At width 7 a batch's arrays
+# (112 KB) stay below the common 128 KiB mmap threshold of malloc, so they
+# are reused from the heap instead of mapped afresh for every batch.
+_CHUNK_RUNS = 2**11
 
 
 @dataclass(frozen=True)
@@ -66,18 +68,32 @@ def splitmix64(seed: int, count: int) -> np.ndarray:
 
 
 def _splitmix64_from(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 of SplitMix64 for the given seed."""
-    z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA * np.arange(
-        start + 1, start + count + 1, dtype=np.uint64
-    )
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """Outputs start .. start+count-1 of SplitMix64 for the given seed,
+    mixed in place in one output buffer and one scratch buffer."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    t = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mix
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _to_uniforms(z: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) of stream outputs z, converted in z's buffer."""
+    z >>= np.uint64(11)
+    u = z.view(np.float64)
+    np.multiply(z, _U53, out=u)
+    return u
 
 
 def uniform_doubles(seed: int, count: int) -> np.ndarray:
     """count iid uniforms in [0, 1) from the SplitMix64 stream."""
-    return (splitmix64(seed, count) >> np.uint64(11)).astype(np.float64) * _U53
+    return _to_uniforms(splitmix64(seed, count))
 
 
 def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray:
@@ -95,8 +111,8 @@ def _sample(p: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
     """Inverse-CDF draws over p from stream outputs start .. start+count-1."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
-    u = (_splitmix64_from(seed, start, count) >> np.uint64(11)).astype(np.float64) * _U53
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    u = _to_uniforms(_splitmix64_from(seed, start, count))
+    return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
 
 
 def empirical_repetition_error(
@@ -131,7 +147,8 @@ def empirical_repetition_error(
     for r0 in range(0, runs, _CHUNK_RUNS):
         c = min(_CHUNK_RUNS, runs - r0)
         draws = _sample(d.p, seed, r0 * width, c * width).reshape(c, width)
-        medians = np.median(outputs[draws], axis=1)  # odd width: exact order statistic
+        # odd width: an exact order statistic; the gathered copy is scratch
+        medians = np.median(outputs[draws], axis=1, overwrite_input=True)
         stat[r0 : r0 + c] = np.abs(inst.a - medians) ** q
     mean = float(stat.mean())
     se = float(stat.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0

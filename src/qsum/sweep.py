@@ -151,9 +151,21 @@ def worst_avg_error(
         include_sharpness = grid is None
     if grid is None:
         grid = default_grid()
+    ks, Ns, label, (errors,) = _grid_errors(M, q, grid, include_sharpness, (n_reps,))
+    i = int(np.argmax(errors))
+    return SweepResult(M, q, n_reps, float(errors[i]), int(ks[i]), int(Ns[i]), label)
+
+
+def _grid_errors(M: int, q: float, grid: GridSpec, include_sharpness: bool, reps):
+    """Errors of every mean of a sweep, for each repetition count in reps.
+
+    Returns (ks, Ns, label, errors): the means in ascending (k, N), the
+    sweep's label, and one row of errors per entry of reps, all read off
+    one block-kernel pass per block of means (n = 0 takes the kernel's
+    errors, n > 0 the median step on its p).
+    """
     if grid.N <= M:
         raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
-
     means = [(k, grid.N) for k in grid.ks]
     label = grid.label
     if include_sharpness:
@@ -162,20 +174,21 @@ def worst_avg_error(
     means.sort()
     ks, Ns = zip(*means)
     sigma, s, integral = _block_angles(ks, Ns, M)
-    s, boosted = s.tolist(), n_reps != 0
+    s = s.tolist()
     rows = max(1, BLOCK_ELEMENTS // M)
-    errors = np.empty(len(means))
+    boosted = any(n != 0 for n in reps)
+    errors = np.empty((len(reps), len(means)))
     for i in range(0, len(means), rows):
         b = slice(i, i + rows)
         e, p, _, _ = _block_errors(
-            M, None if boosted else q, sigma[b], s[b], integral[b], ks[b], Ns[b]
+            M, q if 0 in reps else None, sigma[b], s[b], integral[b], ks[b], Ns[b]
         )
-        if boosted:
-            a = np.array([k / N for k, N in means[b]])
-            e = np.where(integral[b], 0.0, _block_median_errors(p, a, q, n_reps))
-        errors[b] = e
-    i = int(np.argmax(errors))
-    return SweepResult(M, q, n_reps, float(errors[i]), int(ks[i]), int(Ns[i]), label)
+        a = np.array([k / N for k, N in means[b]]) if boosted else None
+        for r, n in enumerate(reps):
+            errors[r, b] = e if n == 0 else np.where(
+                integral[b], 0.0, _block_median_errors(p, a, q, n)
+            )
+    return ks, Ns, label, errors
 
 
 def normalized_constant(M: int, q: float, worst_error: float) -> float:

@@ -263,3 +263,43 @@ class TestMedianNRule:
             for n in (0, 64, np.int64(1)):
                 call(n)
         assert regularized_incomplete_beta(0.3, np.int64(1)) == pytest.approx(0.216)
+
+
+class TestMedianPolynomialAccuracy:
+    """The median polynomial against a 50-digit evaluation of its binomial
+    tail sum: a few ulp relative on [0, 1/2], where the nearer-tail median
+    masses read it, and a few ulp absolute above."""
+
+    NS = (1, 2, 3, 8, 32, 64)
+
+    @staticmethod
+    def reference(x: float, n: int):
+        mpmath = pytest.importorskip("mpmath")
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        m, x = 2 * n + 1, ctx.mpf(x)
+        return ctx.fsum(math.comb(m, k) * x**k * (1 - x) ** (m - k) for k in range(n + 1, m + 1))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_relative_below_half(self, n):
+        rng = np.random.default_rng(100 + n)
+        # powers of two down to where z^(n+1) is still a normal float
+        near_zero = [2.0**-k for k in range(1, 60) if (n + 1) * k < 990]
+        xs = np.concatenate([0.5 * rng.random(60), near_zero, [0.5 - 2.0**-54]])
+        got = median_cdf_table(xs, n)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            ref = self.reference(x, n)
+            assert abs(g - ref) <= 2e-14 * ref, (x, g, float(ref))
+
+    @pytest.mark.parametrize("n", NS)
+    def test_absolute_above_half(self, n):
+        rng = np.random.default_rng(200 + n)
+        xs = np.concatenate([1.0 - 0.5 * rng.random(60), [0.5 + 2.0**-53, 1.0 - 2.0**-53]])
+        got = median_cdf_table(xs, n)
+        for x, g in zip(xs.tolist(), got.tolist()):
+            assert abs(g - self.reference(x, n)) <= 1e-14, (x, g)
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_exact_points(self, n):
+        assert median_cdf_table([0.0, 0.5, 1.0], n).tolist() == [0.0, 0.5, 1.0]
+        assert [regularized_incomplete_beta(x, n) for x in (0.0, 0.5, 1.0)] == [0.0, 0.5, 1.0]

@@ -17,7 +17,8 @@ from qsum.repetitions import (
     median_distribution,
     repetition_error,
 )
-from qsum.sweep import default_grid
+from qsum import sweep
+from qsum.sweep import default_grid, worst_avg_error
 
 
 def brute_force_median(alphas, rhos, n):
@@ -169,3 +170,94 @@ class TestRepetitionTheorem:
             check_repetition_theorem(2.0, [6, 5])
         with pytest.raises(DomainError):
             check_repetition_theorem(math.inf, [6])
+
+
+class TestNearerTailMasses:
+    """Boosted errors against a 40-digit evaluation of the same closed form.
+
+    The median masses read each atom boundary from its nearer tail, so the
+    differences above the median no longer cancel between two values near
+    1.  Left-cumsum differences were 2.1e-5 off on (1, 2, 1366, 5, 6).
+    """
+
+    @staticmethod
+    def reference(k, N, M, q, n):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        a = mp.mpf(k) / N
+        sigma = M * mp.asin(mp.sqrt(a)) / mp.pi
+        amp = mp.sin(mp.pi * sigma) ** 2 / (2 * M * M)
+        p = [
+            amp * (mp.sin(mp.pi * (j - sigma) / M) ** -2 + mp.sin(mp.pi * (j + sigma) / M) ** -2)
+            for j in range(M)
+        ]
+        m = 2 * n + 1
+
+        def cdf(x):
+            return mp.fsum(math.comb(m, i) * x**i * (1 - x) ** (m - i) for i in range(n + 1, m + 1))
+
+        total, below, i_below = mp.mpf(0), mp.mpf(0), mp.mpf(0)
+        for j in range(M // 2 + 1):
+            below += p[j] + (p[M - j] if 0 < j < M - j else 0)
+            i_next = cdf(below)
+            total += (i_next - i_below) * abs(a - mp.sin(mp.pi * j / M) ** 2) ** q
+            i_below = i_next
+        return total ** (1 / mp.mpf(q))
+
+    @pytest.mark.parametrize(
+        "case, tol",
+        [
+            ((1, 2, 342, 3.0, 4), 1e-13),
+            ((1, 2, 1366, 3.0, 4), 1e-13),
+            ((1, 2, 1366, 5.0, 6), 1e-13),
+            ((3, 7, 2000, 4.0, 5), 1e-13),
+            # the float angles of this mean already put its n = 0 error
+            # 1.0e-11 off: the base distribution sets this floor
+            ((84667, 329873, 1366, 2.0, 3), 5e-11),
+        ],
+    )
+    def test_against_mpmath(self, case, tol):
+        k, N, M, q, n = case
+        ref = self.reference(*case)
+        got = repetition_error(MeanInstance(k, N, M), q, n)
+        assert abs(got - ref) <= tol * ref, (got, float(ref))
+
+    @pytest.mark.parametrize("n", [1, 64])
+    def test_masses_sum_to_one(self, n):
+        rng = np.random.default_rng(1366 + n)
+        for inst in [MeanInstance(1, 2, 1366)] + random_instances(rng, 4, m_range=(1366, 1366)):
+            rhos = median_distribution(collapse_outputs(outcome_distribution(inst)), n).rhos
+            assert abs(rhos.sum() - 1.0) <= 1e-13
+            assert rhos.min() >= 0.0
+
+
+class TestTheoremOnePass:
+    """Both columns of the repetition theorem come from one block-kernel
+    pass per block, equal to the two sweeps they replace."""
+
+    GRID = default_grid(count=300)
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("M", [6, 22, 86, 342])
+    def test_columns_equal_sweeps(self, q, M):
+        (row,) = check_repetition_theorem(q, [M], self.GRID)
+        base = worst_avg_error(M, q, self.GRID, include_sharpness=True)
+        rep = worst_avg_error(M, q, self.GRID, n_reps=row.n, include_sharpness=True)
+        assert row.worst_base_error == base.worst_error
+        assert row.worst_rep_error == rep.worst_error
+
+    def test_one_kernel_call_per_block(self, monkeypatch):
+        calls = []
+        kernel = sweep._block_errors
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return kernel(*args)
+
+        monkeypatch.setattr(sweep, "_block_errors", counted)
+        M = 86
+        check_repetition_theorem(2.0, [M], self.GRID)
+        means = len(self.GRID.ks) + len(sweep.sharpness_instances(M))
+        assert sum(calls) == means
+        assert len(calls) == -(-means // max(1, sweep.BLOCK_ELEMENTS // M))

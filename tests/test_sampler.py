@@ -163,3 +163,29 @@ def test_module_imports_on_its_own(module):
     src = str(Path(qsum.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", f"import {name}"], check=True, env=env)
+
+
+class TestPinnedStreams:
+    """Exact bits of the sampler's results, so a change in how draws are
+    buffered, converted or reduced cannot move them."""
+
+    @pytest.mark.parametrize(
+        "k, N, M, q, n, runs, seed, mean_hex, se_hex",
+        [
+            # a million medians of 7
+            (37, 1000, 50, 1.0, 3, 10**6, 11, "0x1.ef00eb9ce6950p-10", "0x1.16e614e97f7bdp-25"),
+            (100, 1000, 40, 2.0, 1, 10**5, 12345, "0x1.5300e036ed430p-8", "0x1.2c9cfa40da839p-20"),
+            (5, 64, 9, 3.0, 0, 50001, 2**61, "0x1.c8d1d924eeba5p-3", "0x1.5862f6fdd9be8p-12"),
+            (1, 2, 22, 1.5, 2, 7777, 3, "0x1.2ebfd9f7b1733p-4", "0x1.f8823ac8ac4cep-14"),
+        ],
+    )
+    def test_sample_run_bits(self, k, N, M, q, n, runs, seed, mean_hex, se_hex):
+        run = empirical_repetition_error(MeanInstance(k, N, M), q, n, runs, seed)
+        assert (run.empirical_error_q.hex(), run.standard_error.hex()) == (mean_hex, se_hex)
+
+    def test_uniform_bits(self):
+        assert uniform_doubles(5, 4).tolist() == [
+            0.386768045983934, 0.7523070158382239, 0.2327091656774618, 0.09933941132660251,
+        ]
+        assert uniform_doubles(5, 0).shape == (0,)
+        assert sample_outcomes(outcome_distribution(MeanInstance(3, 7, 13)), 1000, 9).dtype == np.int64
