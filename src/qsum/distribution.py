@@ -151,6 +151,39 @@ def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.sin(d, out=d)  # nonnegative on [0, pi/2]
 
 
+def _nearest_sines(M: int, sigma: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """Each row's smallest folded sine, as _folded_sines computes it, in
+    O(1) per row, and 1 on integral rows (which the pole guard skips).
+
+    The smallest factor sits at the index j = round(sigma) nearest sigma,
+    where j - sigma is exact and already within [0, 1/2], so the fold to
+    [0, M/2] is a no-op; the rest is the kernel's float operations.  A
+    pole only matters when that distance is below ~1e-9, and every other
+    index is then more than 1/2 away.
+    """
+    d = np.abs(np.round(sigma) - sigma)
+    d *= np.pi
+    d /= M
+    np.sin(d, out=d)
+    d[integral] = 1.0
+    return d
+
+
+def _check_poles(M: int, fmin: np.ndarray, sigma: np.ndarray, ks, Ns) -> None:
+    """The pole guard: raise ConsistencyError at the first row whose
+    smallest folded sine fmin lies below half of sin(pi INTEGER_TOL / M),
+    a pole that the integer detection missed."""
+    bad = fmin < 0.5 * math.sin(math.pi * INTEGER_TOL / M)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConsistencyError(
+            f"near-pole outcome term (|sin| = {fmin[i]:.3e}) for "
+            f"k={ks[i]}, N={Ns[i]}, M={M} with "
+            f"sigma={float(sigma[i])!r} not flagged integral at "
+            f"INTEGER_TOL={INTEGER_TOL:g}"
+        )
+
+
 def _block_errors(
     M: int, q: float | None, sigma: np.ndarray, s, integral: np.ndarray, ks, Ns
 ):
@@ -179,15 +212,7 @@ def _block_errors(
     err = None if q is None else f1 * f1[:, partner]
     if len(points):
         f1[points] = 1.0
-    guard = 0.5 * math.sin(math.pi * INTEGER_TOL / M)
-    if f1.min() < guard:
-        i = int(np.argmax(f1.min(axis=1) < guard))
-        raise ConsistencyError(
-            f"near-pole outcome term (|sin| = {f1[i].min():.3e}) for "
-            f"k={ks[i]}, N={Ns[i]}, M={M} with "
-            f"sigma={float(sigma[i])!r} not flagged integral at "
-            f"INTEGER_TOL={INTEGER_TOL:g}"
-        )
+    _check_poles(M, f1.min(axis=1), sigma, ks, Ns)
     # sin^2(pi s) / (2 M^2), which is 0 on integral rows
     amp = np.array([math.sin(math.pi * x) ** 2 / (2.0 * M * M) for x in s])
     p = f1**-2.0

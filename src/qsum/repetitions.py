@@ -26,7 +26,14 @@ from .distribution import _block_median_errors, _median_masses
 from .errors import DomainError
 from .model import MeanInstance
 from .numerics import MAX_REPETITION_N  # noqa: F401
-from .sweep import GridSpec, _check_m_list, _grid_errors, default_grid, normalized_constant
+from .sweep import (
+    GridSpec,
+    _check_m_list,
+    _grid_errors,
+    _sweep_means,
+    default_grid,
+    normalized_constant,
+)
 
 __all__ = [
     "MedianDistribution",
@@ -121,7 +128,8 @@ def check_repetition_theorem(
     rows = []
     for M in M_list:
         # both columns from one block-kernel pass per block of means
-        worst_base, worst_rep = _grid_errors(M, q, grid, True, (0, n))[3].max(axis=1).tolist()
+        means = _sweep_means(M, grid, True)[1]
+        worst_base, worst_rep = _grid_errors(M, q, means, (0, n)).max(axis=1).tolist()
         rows.append(
             RepetitionRow(
                 M,

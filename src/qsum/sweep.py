@@ -13,8 +13,16 @@ step when boosted, so a block's errors come out as one-mean calls
 (local_avg_error, local_sup_error, repetition_error) would give them.
 The block size is fixed; it bounds the pass's temporaries, not the result.
 
-Where errors tie mathematically, rounding picks the argmax: equal s at
-q = 2, and the mirror means a and 1 - a in boosted sweeps.
+An unboosted sweep screens its means first: an O(1) upper bound on each
+mean's error (_error_bounds) rules out the means that cannot reach the
+maximum, and the kernel runs on the rest only, with the same result as a
+pass over every mean.  Boosted sweeps run every mean: the median's error
+has no such bound.
+
+Where errors tie mathematically, rounding picks the argmax.  At q = 2 the
+error is exactly |sin(pi s)| / sqrt(2 M), a function of s alone, so means
+with equal s tie exactly; in boosted sweeps the mirror means a and 1 - a
+tie.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .distribution import _block_errors, _block_median_errors
+from .distribution import _block_errors, _block_median_errors, _check_poles, _nearest_sines
 from .model import MeanInstance, _block_angles
 
 __all__ = [
@@ -151,19 +159,21 @@ def worst_avg_error(
         include_sharpness = grid is None
     if grid is None:
         grid = default_grid()
-    ks, Ns, label, (errors,) = _grid_errors(M, q, grid, include_sharpness, (n_reps,))
-    i = int(np.argmax(errors))
-    return SweepResult(M, q, n_reps, float(errors[i]), int(ks[i]), int(Ns[i]), label)
+    label, means = _sweep_means(M, grid, include_sharpness)
+    if n_reps == 0:
+        i, e = _screened_max(M, q, means)
+    else:
+        (errors,) = _grid_errors(M, q, means, (n_reps,))
+        i = int(np.argmax(errors))
+        e = errors[i]
+    ks, Ns = means[:2]
+    return SweepResult(M, q, n_reps, float(e), int(ks[i]), int(Ns[i]), label)
 
 
-def _grid_errors(M: int, q: float, grid: GridSpec, include_sharpness: bool, reps):
-    """Errors of every mean of a sweep, for each repetition count in reps.
-
-    Returns (ks, Ns, label, errors): the means in ascending (k, N), the
-    sweep's label, and one row of errors per entry of reps, all read off
-    one block-kernel pass per block of means (n = 0 takes the kernel's
-    errors, n > 0 the median step on its p).
-    """
+def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):
+    """The label of a sweep and its means in ascending (k, N), as the
+    arrays (ks, Ns, a, sigma, s, integral): a = k/N, and the angles as
+    model._block_angles gives them."""
     if grid.N <= M:
         raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
     means = [(k, grid.N) for k in grid.ks]
@@ -173,22 +183,109 @@ def _grid_errors(M: int, q: float, grid: GridSpec, include_sharpness: bool, reps
         label += " + sharpness"
     means.sort()
     ks, Ns = zip(*means)
-    sigma, s, integral = _block_angles(ks, Ns, M)
-    s = s.tolist()
+    a = np.array([k / N for k, N in means])
+    return label, (np.asarray(ks), np.asarray(Ns), a, *_block_angles(ks, Ns, M))
+
+
+def _grid_errors(M: int, q: float, means, reps) -> np.ndarray:
+    """Errors of the means (as _sweep_means gives them), one row per
+    repetition count in reps, all read off one block-kernel pass per block
+    of means (n = 0 takes the kernel's errors, n > 0 the median step on
+    its p)."""
+    ks, Ns, a, sigma, s, integral = means
     rows = max(1, BLOCK_ELEMENTS // M)
-    boosted = any(n != 0 for n in reps)
-    errors = np.empty((len(reps), len(means)))
-    for i in range(0, len(means), rows):
+    errors = np.empty((len(reps), len(ks)))
+    for i in range(0, len(ks), rows):
         b = slice(i, i + rows)
         e, p, _, _ = _block_errors(
-            M, q if 0 in reps else None, sigma[b], s[b], integral[b], ks[b], Ns[b]
+            M, q if 0 in reps else None, sigma[b], s[b].tolist(), integral[b], ks[b], Ns[b]
         )
-        a = np.array([k / N for k, N in means[b]]) if boosted else None
         for r, n in enumerate(reps):
             errors[r, b] = e if n == 0 else np.where(
-                integral[b], 0.0, _block_median_errors(p, a, q, n)
+                integral[b], 0.0, _block_median_errors(p, a[b], q, n)
             )
-    return ks, Ns, label, errors
+    return errors
+
+
+# Relative slack of the screen: 10 x distribution._DRIFT_TOL, far above the
+# kernel's rounding and the renormalization it absorbs, so no kernel error
+# exceeds its bound times (1 + _SCREEN_MARGIN).
+_SCREEN_MARGIN = 1e-9
+
+
+def _screened_max(M: int, q: float, means) -> tuple[int, float]:
+    """Index and value of the largest unboosted error of the means, the
+    first in order at a tie, from the kernel on as few means as a bound
+    allows.
+
+    The kernel first runs on the mean of largest bound U (_error_bounds),
+    whose error e is a lower bound on the maximum; then, in blocks and in
+    order, on every mean with U (1 + _SCREEN_MARGIN) >= e.  A skipped
+    mean's error is below e, so it can neither be nor tie the maximum,
+    and a row's kernel result does not depend on the rows sharing its
+    block: value, argmax and tie rule are those of the full pass.  The
+    pole guard still checks every mean, in O(1) each; the drift and
+    negativity checks run on every distribution the kernel builds, and a
+    skipped mean builds none.
+    """
+    ks, Ns, a, sigma, s, integral = means
+    _check_poles(M, _nearest_sines(M, sigma, integral), sigma, ks, Ns)
+    bound = _error_bounds(M, q, a, s, integral)
+    top = int(np.argmax(bound))
+    floor = _grid_errors(M, q, [x[top : top + 1] for x in means], (0,))[0, 0]
+    keep = np.flatnonzero(bound * (1.0 + _SCREEN_MARGIN) >= floor)
+    (errors,) = _grid_errors(M, q, [x[keep] for x in means], (0,))
+    i = int(np.argmax(errors))
+    return int(keep[i]), errors[i]
+
+
+def _error_bounds(M: int, q: float, a: np.ndarray, s: np.ndarray, integral: np.ndarray) -> np.ndarray:
+    """Upper bounds U on the local L_q errors of the means a, in O(1) each.
+
+    With x_j = pi (j - sigma)/M and y_j = pi (j + sigma)/M, the error
+    |a - output(j)| is |sin x_j sin y_j| and p(j) = sin^2(pi s)/(2 M^2)
+    (csc^2 x_j + csc^2 y_j), where y_j = x_j + 2 theta.
+
+    q = 2: sum_j p(j) sin^2 x_j sin^2 y_j = sin^2(pi s)/(2 M^2) sum_j
+    (sin^2 x_j + sin^2 y_j), and sum_j sin^2(pi (j -+ sigma)/M) = M/2
+    for every sigma, so e_2 = |sin(pi s)| / sqrt(2 M) exactly.
+
+    q = 1: e_1 = sin^2(pi s)/(2 M^2) sum_j (|sin y_j / sin x_j| +
+    |sin x_j / sin y_j|), with sin(x + 2 theta)/sin x = cos 2 theta +
+    sin 2 theta cot x, and likewise with -2 theta at y_j.  By the triangle
+    inequality each ratio is at most |1 - 2 a| + 2 sqrt(a (1 - a)) |cot|,
+    and both cotangent sums equal C(s) = sum_j |cot(pi (j + s)/M)|: the
+    offsets (j -+ sigma) mod M run over i + s or over i + 1 - s, i = 0 ..
+    M-1, and the two sums agree because |cot| is symmetric about pi/2.  So e_1 <= sin^2(pi s)/M (|1 - 2 a| + 2 sqrt(a (1 - a))
+    C(s)/M).  |cot| is convex on (0, pi), so by Hermite-Hadamard each inner
+    term j = 1 .. M-2 is at most its integral over [j + s - 1/2, j + s +
+    1/2]; these cover (1/2 + s, M - 3/2 + s), which contains M/2 for
+    M >= 3, and integrating |cot| on either side of pi/2 gives
+    C(s) <= cot(pi s/M) + cot(pi (1 - s)/M) + (M/pi) (-ln sin(pi (1/2 +
+    s)/M) - ln sin(pi (3/2 - s)/M)), within 0.12-1.3% of the exact sum.
+
+    1 < q < 2: the L_q norm interpolates between L_1 and L_2 (Hoelder,
+    1/q = (2/q - 1)/1 + (2 - 2/q)/2), so e_q <= U_1^(2/q-1) U_2^(2-2/q).
+
+    q > 2: |a - output| <= max(a, 1 - a), so e_q^q <= max(a, 1 - a)^(q-2)
+    e_2^2 and e_q <= max(a, 1 - a)^(1-2/q) U_2^(2/q); at q = inf this is
+    max(a, 1 - a), which also bounds the supremum error.
+
+    Integral sigma: the error is exactly 0.  U_2 and e_2 are equal, and
+    U_1 = e_1 = 1/M at a = 1 with odd M, so these bounds are sharp.
+    """
+    x = np.where(integral, 0.5, s)  # finite cotangents; integral rows are 0 below
+    t = math.pi / M
+    sin2 = np.sin(np.pi * x) ** 2
+    u2 = np.sqrt(sin2 / (2.0 * M))
+    if q < 2.0:
+        c = 1.0 / np.tan(t * x) + 1.0 / np.tan(t * (1.0 - x))
+        c -= (np.log(np.sin(t * (0.5 + x))) + np.log(np.sin(t * (1.5 - x)))) / t
+        u1 = sin2 / M * (np.abs(1.0 - 2.0 * a) + 2.0 * np.sqrt(a * (1.0 - a)) * c / M)
+        u = u1 ** (2.0 / q - 1.0) * u2 ** (2.0 - 2.0 / q)
+    else:
+        u = np.maximum(a, 1.0 - a) ** (1.0 - 2.0 / q) * u2 ** (2.0 / q)
+    return np.where(integral, 0.0, u)
 
 
 def normalized_constant(M: int, q: float, worst_error: float) -> float:

@@ -10,6 +10,10 @@ from qsum.error_analysis import local_avg_error, local_sup_error
 from qsum.distribution import (
     OutcomeDistribution,
     _block_errors,
+    _check_poles,
+    _folded_sines,
+    _index_tables,
+    _nearest_sines,
     collapse_outputs,
     event_probability,
     exact_error,
@@ -75,6 +79,28 @@ class TestOutcomeDistribution:
             _block_errors(
                 M, None, np.array([600 + s]), np.array([s]), np.array([False]), (1,), (2**44,)
             )
+
+    def test_o1_pole_guard_raises_the_kernels_error(self):
+        # the sweep screen's guard reads each row's smallest sine in O(1)
+        M, s = 4096, 2.0**-43
+        sigma, flags = np.array([17.25, 600 + s]), np.array([False, False])
+        with pytest.raises(ConsistencyError) as kernel:
+            _block_errors(M, None, sigma, [0.25, s], flags, (3, 1), (8, 2**44))
+        with pytest.raises(ConsistencyError) as screen:
+            _check_poles(M, _nearest_sines(M, sigma, flags), sigma, (3, 1), (8, 2**44))
+        assert str(screen.value) == str(kernel.value)
+
+    @pytest.mark.parametrize("M", [3, 4, 7, 86, 1053, 4096])
+    def test_nearest_sines_are_the_kernels_row_minima(self, M):
+        rng = np.random.default_rng(M)
+        sigma = rng.uniform(0.0, M / 2.0, 200)
+        near = np.round(sigma[:60]) + rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-13, -1, 60)
+        sigma = np.concatenate([np.clip(near, 0.0, M / 2.0), sigma, [0.0, 0.5, M / 4.0, M / 2.0]])
+        integral = np.zeros(len(sigma), dtype=bool)
+        want = _folded_sines(_index_tables(M)[0], sigma).min(axis=1)
+        assert _nearest_sines(M, sigma, integral).tobytes() == want.tobytes()
+        integral[::3] = True
+        assert (_nearest_sines(M, sigma, integral)[::3] == 1.0).all()
 
     @pytest.mark.parametrize(
         "M, s_target", [(4096, 1.15e-9), (20000, 1.2e-9), (100000, 1.5e-9)]

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qsum
+from qsum import numerics
 from qsum.errors import DomainError
 from qsum.numerics import (
     integrate_adaptive,
@@ -160,6 +166,21 @@ class TestIntegrateAdaptive:
             integrate_adaptive(np.sin, 1.0, 0.0, 1e-10)
         with pytest.raises(DomainError):
             integrate_adaptive(np.sin, 0.0, 1.0, 0.0)
+
+
+class TestGaussLegendreRule:
+    def test_literals_equal_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert numerics._GL_NODES.tobytes() == nodes.tobytes()
+        assert numerics._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_import_leaves_numpy_polynomial_out(self):
+        # a fresh interpreter: the test process itself has loaded it above
+        env = dict(os.environ)
+        src = str(Path(qsum.__file__).parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, qsum; sys.exit('numpy.polynomial' in sys.modules)"
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 class TestRectangleRule:

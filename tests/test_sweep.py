@@ -1,12 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from qsum import sweep
+from qsum import model, sweep
 from qsum.distribution import _block_errors, collapse_outputs, outcome_distribution
-from qsum.errors import DomainError
-from qsum.model import MeanInstance, derive_angles
+from qsum.errors import ConsistencyError, DomainError
+from qsum.model import MeanInstance, _block_angles, derive_angles
 from qsum.error_analysis import L1_SLACK_CONSTANT, local_avg_error
 from qsum.repetitions import (
     REPS_GRID_COUNT,
@@ -199,6 +200,141 @@ class TestBlockKernel:
         # same instance and the M = 6 maximum: the smaller k wins
         r = worst_avg_error(6, 1.0, self.grid(6), include_sharpness=True)
         assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
+
+
+def _kernel_errors(M, q, ks, Ns):
+    """Errors of the means ks[i]/Ns[i] from one kernel pass over all of
+    them, with the angles (s, integral)."""
+    sigma, s, integral = _block_angles(ks, Ns, M)
+    return _block_errors(M, q, sigma, s, integral, ks, Ns)[0], s, integral
+
+
+class TestErrorBounds:
+    """The screen's per-mean bound U against the kernel."""
+
+    N = 2**52
+    QS = [1.0, 1.25, 1.5, 2.0, 3.0, 5.0, math.inf]
+    MS = [3, 4, 5, 6, 7, 22, 1053, 1366, 10**4] + np.random.default_rng(11).integers(
+        8, 10**4, 5
+    ).tolist()
+
+    def means(self, M):
+        N = self.N
+        rng = np.random.default_rng(M)
+        ks = set(rng.integers(0, N + 1, 30).tolist())
+        ks |= {1, N // 2, N - 1, N}  # a = 1/2, and a = 1 at odd and even M
+        for m, d in ((1, 5e-9), (M // 3, 3e-9), (M // 2, -2e-9)):
+            ks.add(round(math.sin(math.pi * (m + d) / M) ** 2 * N))
+        return sorted(ks)
+
+    @pytest.mark.parametrize("M", MS)
+    def test_kernel_within_bound(self, M):
+        ks = self.means(M)
+        Ns = [self.N] * len(ks)
+        a = np.array(ks) / self.N
+        _, s, integral = _kernel_errors(M, 1.0, ks, Ns)
+        near = (s < 1e-8) & ~integral
+        assert near.sum() >= 2  # s within 1e-8 of 0, not snapped
+        for q in self.QS:
+            e = _kernel_errors(M, q, ks, Ns)[0]
+            u = sweep._error_bounds(M, q, a, s, integral)
+            assert (e <= u * (1.0 + sweep._SCREEN_MARGIN)).all(), q
+            assert (u[integral] == 0.0).all() and (e[integral] == 0.0).all()
+            if q == 2.0:
+                # the q = 2 identity e_2 = |sin(pi s)| / sqrt(2 M)
+                np.testing.assert_array_less(np.abs(e - u), 1e-14 * u + 1e-300)
+            if q == 1.0 and M % 2:
+                # a = 1 at odd M: e_1 = 1/M, the bound is attained
+                assert e[-1] == pytest.approx(1.0 / M, rel=1e-14)
+                assert u[-1] == pytest.approx(1.0 / M, rel=1e-14)
+
+
+@functools.lru_cache(maxsize=None)
+def _full_pass(M, q, grid):
+    """A plain kernel pass over every mean of a sweep with sharpness
+    instances: the means in ascending (k, N) and their errors."""
+    means = sorted([(k, grid.N) for k in grid.ks] + [(i.k, i.N) for i in sharpness_instances(M)])
+    ks, Ns = zip(*means)
+    return ks, Ns, _kernel_errors(M, q, ks, Ns)[0]
+
+
+def _counted_kernel(monkeypatch):
+    """Patch the sweep's kernel to record the rows of each call."""
+    calls = []
+    kernel = sweep._block_errors
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(sweep, "_block_errors", counted)
+    return calls
+
+
+class TestScreen:
+    """The screened unboosted sweep against a kernel pass over every mean:
+    value and argmax equal bit for bit."""
+
+    N = 2**21
+    GRID = GridSpec(
+        N,
+        tuple(sorted({0, 1, N // 4, N // 2, 3 * N // 4, N - 1, N} | set(
+            np.linspace(0, N, 1500).round().astype(int).tolist()
+        ))),
+        "screen test",
+    )
+
+    @pytest.mark.parametrize("block", [sweep.BLOCK_ELEMENTS, 50])
+    @pytest.mark.parametrize("M", [3, 6, 22, 86, 1053, 1366])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_equals_full_pass(self, q, M, block, monkeypatch):
+        ks, Ns, errors = _full_pass(M, q, self.GRID)
+        i = int(np.argmax(errors))
+        monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", block)
+        r = worst_avg_error(M, q, self.GRID, include_sharpness=True)
+        assert (r.worst_error, r.argmax_k, r.argmax_N) == (errors[i], ks[i], Ns[i])
+
+    def test_exact_q2_tie_is_in_the_grid(self):
+        # the means 1/4 and 1 have s = 1/2 - 3e-14 and 1/2 at M = 1053: an
+        # exact q = 2 tie, decided by rounding as in the full pass
+        ks, _, errors = _full_pass(1053, 2.0, self.GRID)
+        quarter, one = errors[ks.index(self.N // 4)], errors[ks.index(self.N)]
+        assert quarter != one and abs(quarter - one) <= 1e-15 * one
+        assert max(quarter, one) == errors.max()
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("M", [6, 1053])
+    def test_all_integral_grid(self, q, M):
+        N = 2**52
+        ks = sorted({round(math.sin(math.pi * m / M) ** 2 * N) for m in range(M // 2 + 1)})
+        grid = GridSpec(N, tuple(ks), "integral")
+        assert _block_angles(ks, [N] * len(ks), M)[2].all()
+        r = worst_avg_error(M, q, grid)
+        assert (r.worst_error, r.argmax_k) == (0.0, 0)
+
+    def test_pole_guard_checks_skipped_means(self, monkeypatch):
+        # with a tighter snap in the angles, a mean at s ~ 1e-10 reaches the
+        # kernel's pole guard, which the screen runs on every mean before
+        # any kernel pass (this mean's bound is far below the screen's floor)
+        M, N = 1053, 2**52
+        k_pole = round(math.sin(math.pi * (M // 3 + 1e-10) / M) ** 2 * N)
+        grid = GridSpec(N, (1, k_pole, N // 3, N // 2), "near pole")
+        monkeypatch.setattr(model, "INTEGER_TOL", 1e-13)
+        with pytest.raises(ConsistencyError) as full:
+            _kernel_errors(M, 1.0, grid.ks, [N] * 4)
+        calls = _counted_kernel(monkeypatch)
+        with pytest.raises(ConsistencyError) as screened:
+            worst_avg_error(M, 1.0, grid)
+        assert str(screened.value) == str(full.value)
+        assert f"k={k_pole}," in str(full.value) and calls == []
+
+    def test_kernel_sees_few_means(self, monkeypatch):
+        # the gain: at q = 1, M = 1053 the kernel runs on <= 20% of the
+        # default grid's means (14.5% when measured)
+        calls = _counted_kernel(monkeypatch)
+        worst_avg_error(1053, 1.0)
+        means = len(default_grid().ks) + len(sharpness_instances(1053))
+        assert sum(calls) <= 0.2 * means
 
 
 def _median_error_q(inst: MeanInstance, q: float, n: int) -> float:
