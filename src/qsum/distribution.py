@@ -111,14 +111,19 @@ class OutputDistribution:
 def output_value(j: int, M: int) -> float:
     """Output sin^2(pi j / M) of outcome index j.
 
-    Evaluated at min(j, M - j) so the symmetry under j <-> M - j holds
-    exactly, not merely to rounding.
+    Read from the output table at min(j, M - j), so the symmetry under
+    j <-> M - j holds exactly, not merely to rounding, and the value has
+    the same bits as in the collapsed, median and sampled distributions.
+    The first call at an M builds that table, O(M) time and memory (8 B
+    per index up to M/2), kept for the 16 most recent M.
     """
     if M < 1:
         raise DomainError(f"M must be positive, got {M}")
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+        raise DomainError(f"index must be an integer, got {j!r}")
     if not 0 <= j < M:
         raise DomainError(f"index j={j} out of range for M={M}")
-    return math.sin(math.pi * min(j, M - j) / M) ** 2
+    return float(_index_tables(M)[2][min(j, M - j)])
 
 
 @functools.lru_cache(maxsize=16)

@@ -9,6 +9,35 @@ results.  Reference outputs for seed 0 (first three):
     0xE220A8397B1DCDAF  0x6E789E6AA1B965F4  0x06C45D188009454F
 
 Uniform doubles take the top 53 bits, u = (z >> 11) * 2^-53 in [0, 1).
+
+Outcome draws are the exact inverse CDF j = #{i : cum[i] <= u} of the
+cumulative sums cum of p (last entry set to 1), found through a guide
+table (Chen & Asau 1974; Devroye 1986, III.2.4).  Its K = 2^11 equal
+bins of u each store the one index their u can map to, or a miss.  Bin
+b = floor(u K) covers [b/K, (b+1)/K); u K, its floor and both ends are
+exact, since K is a power of two and u has 53 bits.  Each u in the bin
+maps to at least lo = #{cum <= b/K} and at most hi = #{cum < (b+1)/K},
+so a bin with lo == hi stores lo.  Only draws in a bin that holds a CDF
+step fall back to a binary search: at most M - 1 of the K bins, each of
+mass 1/K, so at most (M - 1)/K of the draws on average, under 1/32 for
+M <= 64.  Either way the index is the one np.searchsorted(cum, u,
+side="right") gives, bit for bit.  K does not grow with M, so the table
+is 16 KB at every M; past M = K up to every draw may fall back, which
+stays exact but saves nothing over the plain search.
+
+A median of 2n+1 draws is taken on folded ranks min(j, M - j), the
+smallest integer dtype that holds M/2, by an in-place partition, and
+then mapped to |a - alpha|^q through a table over the ranks.  Outputs
+alpha = sin^2(pi rank / M) are nondecreasing in the rank, and an order
+statistic commutes with a nondecreasing map, so this equals the median
+of the gathered outputs exactly.  On the integral-sigma branch every
+draw hits the one support index, whose output is the mean itself.
+
+Memory: runs are simulated in chunks of _CHUNK_RUNS, so the draw
+buffers do not grow with the run count (under 1 MB at 2n+1 = 7).  What
+grows is one float64 statistic per run, 8 B per run, kept so that the
+mean and standard error are the pairwise sums of ndarray.mean and
+ndarray.std, to the same bits at every chunk size.
 """
 
 from __future__ import annotations
@@ -22,6 +51,7 @@ from .distribution import OutcomeDistribution, _index_tables
 from .distribution import collapse_outputs, outcome_distribution
 from .errors import DomainError
 from .model import MeanInstance
+from .numerics import _check_n
 from .repetitions import median_distribution
 
 __all__ = [
@@ -42,6 +72,10 @@ _U53 = 2.0**-53
 # (112 KB) stay below the common 128 KiB mmap threshold of malloc, so they
 # are reused from the heap instead of mapped afresh for every batch.
 _CHUNK_RUNS = 2**11
+# Guide-table bins, a power of two.  The Monte Carlo cross-checks (M up
+# to 64) ran fastest near here: fewer bins miss more often, and the
+# table (16 KB) still sits in L1.
+_BINS = 2**11
 
 
 @dataclass(frozen=True)
@@ -104,15 +138,27 @@ def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray
     """
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
-    return _sample(d.p, seed, 0, count)
+    return _inverse_cdf(d.p)(_to_uniforms(_splitmix64_from(seed, 0, count)))
 
 
-def _sample(p: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    """Inverse-CDF draws over p from stream outputs start .. start+count-1."""
+def _inverse_cdf(p: np.ndarray):
+    """The exact inverse CDF of p as a function of uniforms u in [0, 1):
+    np.searchsorted(cum, u, side="right") through a guide table (see the
+    module docstring)."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
-    u = _to_uniforms(_splitmix64_from(seed, start, count))
-    return np.searchsorted(cum, u, side="right").astype(np.int64, copy=False)
+    K = _BINS
+    lo = np.searchsorted(cum, np.arange(K) / K, side="right")
+    hi = np.searchsorted(cum, np.arange(1, K + 1) / K, side="left")
+    guide = np.where(lo == hi, lo, -1).astype(np.int64, copy=False)
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        j = guide.take((u * K).astype(np.intp))
+        miss = np.flatnonzero(j < 0)
+        j[miss] = np.searchsorted(cum, u[miss], side="right")
+        return j
+
+    return draw
 
 
 def empirical_repetition_error(
@@ -126,32 +172,42 @@ def empirical_repetition_error(
 
     The n = 0 case estimates the plain local error; agreement with the
     exact engines within a few standard errors is the package's
-    cross-validation contract.
+    cross-validation contract.  n follows the exact engines' rule: an
+    integer in [0, MAX_REPETITION_N].
     """
     if math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n!r}")
+    n = _check_n(n)
     if runs < 1:
         raise DomainError(f"runs must be positive, got {runs}")
     d = outcome_distribution(inst)
-    width = 2 * int(n) + 1
+    draw = _inverse_cdf(d.p)
+    width = 2 * n + 1
     j = np.arange(d.M)
-    outputs = _index_tables(d.M)[2][np.minimum(j, d.M - j)]
+    ranks = np.minimum(j, d.M - j).astype(np.min_scalar_type(d.M // 2))
+    alphas = _index_tables(d.M)[2]
     if d.angles.sigma_is_integer:
         # The support point's output equals the mean exactly.
-        outputs[int(np.argmax(d.p))] = inst.a
+        alphas = alphas.copy()
+        alphas[ranks[np.argmax(d.p)]] = inst.a
+    devs = np.abs(inst.a - alphas) ** q
 
     # runs r0 .. r0+c-1 read stream outputs r0*width .. (r0+c)*width - 1
     stat = np.empty(runs)
     for r0 in range(0, runs, _CHUNK_RUNS):
         c = min(_CHUNK_RUNS, runs - r0)
-        draws = _sample(d.p, seed, r0 * width, c * width).reshape(c, width)
-        # odd width: an exact order statistic; the gathered copy is scratch
-        medians = np.median(outputs[draws], axis=1, overwrite_input=True)
-        stat[r0 : r0 + c] = np.abs(inst.a - medians) ** q
-    mean = float(stat.mean())
-    se = float(stat.std(ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
+        u = _to_uniforms(_splitmix64_from(seed, r0 * width, c * width))
+        r = ranks.take(draw(u)).reshape(c, width)
+        r.partition(n, axis=1)  # each run's median rank lands in column n
+        stat[r0 : r0 + c] = devs.take(r[:, n])
+    # ndarray.mean and .std(ddof=1), bit for bit, without std's full-size
+    # temporary: the same pairwise sums, then the deviations in place
+    mean = float(np.add.reduce(stat) / runs)
+    se = 0.0
+    if runs > 1:
+        stat -= mean
+        stat *= stat
+        se = math.sqrt(np.add.reduce(stat) / (runs - 1)) / math.sqrt(runs)
     return SampleRun(int(seed), int(runs), mean ** (1.0 / q), se)
 
 

@@ -144,6 +144,12 @@ class TestMc:
                   "--n", "0", "--runs", "100"])
         assert exc.value.code == 2
 
+    def test_n_above_max_exits_two_like_reps(self, capsys):
+        instance = ("--k", "3", "--N", "7", "--M", "13", "--q", "1", "--n", "65")
+        code, out, err = run_cli(capsys, "mc", *instance, "--runs", "1000", "--seed", "1")
+        assert (code, out, err) == (2, "", "error: n must lie in [0, 64], got 65\n")
+        assert run_cli(capsys, "reps", *instance) == (code, out, err)
+
 
 class TestVerify:
     def test_q1_suite_csv(self, capsys):

@@ -159,6 +159,14 @@ class TestOutputValue:
             output_value(5, 5)
         with pytest.raises(DomainError):
             output_value(-1, 5)
+        with pytest.raises(DomainError):
+            output_value(1.0, 5)
+
+    def test_one_source_with_the_output_table(self):
+        # `qsum dist` prints these; collapse, median and sampler read the table
+        for M in range(1, 3000):
+            alphas = _index_tables(M)[2]
+            assert [output_value(j, M) for j in range(M // 2 + 1)] == alphas.tolist(), M
 
 
 class TestExactError:

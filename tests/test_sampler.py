@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,9 @@ import qsum
 from qsum import sampler
 from qsum.errors import DomainError
 from qsum.model import MeanInstance
-from qsum.distribution import outcome_distribution
+from qsum.distribution import _index_tables, collapse_outputs, outcome_distribution
 from qsum.error_analysis import local_avg_error
-from qsum.repetitions import repetition_error
+from qsum.repetitions import median_distribution, repetition_error
 from qsum.sampler import (
     empirical_repetition_error,
     exact_standard_error,
@@ -127,6 +128,121 @@ class TestEmpiricalRepetitionError:
         with pytest.raises(DomainError):
             empirical_repetition_error(inst, 1.0, 0, 0, seed=1)
 
+    @pytest.mark.parametrize("n", [65, np.int64(65), -1, True, 1.0])
+    def test_n_rule_matches_exact_engines(self, n):
+        # the exact median distribution's message, word for word
+        inst = MeanInstance(3, 7, 13)
+        with pytest.raises(DomainError) as want:
+            median_distribution(collapse_outputs(outcome_distribution(inst)), n)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            empirical_repetition_error(inst, 1.0, n, 100, seed=1)
+
+
+def _searchsorted_draws(p, u):
+    """The reference inverse CDF: binary search over the cumulative sums."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+# every bin edge of a guide table with up to 2^16 bins
+_BIN_EDGES = np.arange(2**16) / 2**16
+
+
+def _edge_uniforms(p):
+    """u = 0, the largest uniform 1 - 2^-53, every CDF step, every bin
+    edge, the double just below each, and a spread of stream uniforms."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    steps = np.concatenate((cum, _BIN_EDGES))
+    u = np.concatenate(([1.0 - 2.0**-53], steps, np.nextafter(steps, 0.0),
+                        uniform_doubles(5, 20_000)))
+    return u[u < 1.0]
+
+
+class TestGuideTableInverseCdf:
+    """The guide-table draw against np.searchsorted, index for index, and
+    the premise of the rank median."""
+
+    @staticmethod
+    def check(p):
+        u = _edge_uniforms(p)
+        got = sampler._inverse_cdf(p)(u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _searchsorted_draws(p, u))
+
+    @pytest.mark.parametrize("M", [1, 2, 7, 256, 4096])
+    def test_point_masses(self, M):
+        for i in {0, M // 2, M - 1}:
+            p = np.zeros(M)
+            p[i] = 1.0
+            self.check(p)
+
+    @pytest.mark.parametrize("M, m", [(7, 2), (64, 1), (600, 150), (4096, 1000), (4096, 2047)])
+    @pytest.mark.parametrize("delta", [-1e-6, 1e-8, 3e-7])
+    def test_near_integral_sigma(self, M, m, delta):
+        # sigma within delta of an integer, but not snapped to it: nearly
+        # all mass sits on the indices next to sigma and M - sigma, so the
+        # CDF steps crowd the first and last bins (and the middle ones)
+        N = 2**50
+        k = round(math.sin(math.pi * (m + delta) / M) ** 2 * N)
+        d = outcome_distribution(MeanInstance(k, N, M))
+        assert not d.angles.sigma_is_integer
+        assert np.sort(d.p)[-2:].sum() > 0.99
+        self.check(d.p)
+
+    @pytest.mark.parametrize("M", [3, 50, 255, 1000, 4096])
+    def test_outcome_distributions(self, M):
+        rng = np.random.default_rng(M)
+        for _ in range(3):
+            N = int(rng.integers(M + 1, 2**20))
+            self.check(outcome_distribution(MeanInstance(int(rng.integers(0, N + 1)), N, M)).p)
+
+    @pytest.mark.parametrize("M", [1, 2, 32, 64, 1024, 4096])
+    def test_steps_on_bin_edges(self, M):
+        # uniform p over a power of two: every CDF step is a bin edge
+        self.check(np.full(M, 1.0 / M))
+
+    def test_zero_entries_and_tiny_masses(self):
+        rng = np.random.default_rng(11)
+        for M in (5, 300, 4096):
+            p = rng.random(M) ** 8
+            p[rng.random(M) < 0.5] = 0.0
+            p[rng.integers(M)] = 1e-300
+            self.check(p / p.sum())
+
+    def test_bin_count_is_a_power_of_two(self):
+        # the premise of exact bins: u K, its floor and the bin ends b/K
+        # are then exact, which no edge case above can cover for every K
+        K = sampler._BINS
+        assert K >= 1 and K & (K - 1) == 0
+
+    def test_outputs_nondecreasing_in_rank(self):
+        # the premise of the rank median: an order statistic commutes with
+        # a nondecreasing map only
+        for M in range(1, 3000):
+            assert np.all(np.diff(_index_tables(M)[2]) >= 0.0), M
+
+    def test_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            weights=st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=600
+            ).filter(lambda w: sum(w) > 0),
+            grid=st.lists(st.integers(0, 2**53 - 1), max_size=50),
+            extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+        )
+        def prop(weights, grid, extra):
+            p = np.array(weights) / math.fsum(weights)
+            u = np.concatenate((_edge_uniforms(p), np.array(grid, dtype=float) * 2.0**-53,
+                                np.array(extra, dtype=float)))
+            assert np.array_equal(sampler._inverse_cdf(p)(u), _searchsorted_draws(p, u))
+
+        prop()
+
 
 class TestChunkedDraws:
     @staticmethod
@@ -177,6 +293,9 @@ class TestPinnedStreams:
             (100, 1000, 40, 2.0, 1, 10**5, 12345, "0x1.5300e036ed430p-8", "0x1.2c9cfa40da839p-20"),
             (5, 64, 9, 3.0, 0, 50001, 2**61, "0x1.c8d1d924eeba5p-3", "0x1.5862f6fdd9be8p-12"),
             (1, 2, 22, 1.5, 2, 7777, 3, "0x1.2ebfd9f7b1733p-4", "0x1.f8823ac8ac4cep-14"),
+            # ranks past 255 (two-byte rank dtype); the largest n
+            (123, 4096, 600, 2.0, 2, 20000, 99, "0x1.1bcf689790d55p-11", "0x1.3a8c6ecbe0c3cp-27"),
+            (574, 1024, 13, 1.0, 64, 3000, 1, "0x1.e6e37c62653c4p-4", "0x1.36a98eb1da571p-15"),
         ],
     )
     def test_sample_run_bits(self, k, N, M, q, n, runs, seed, mean_hex, se_hex):
