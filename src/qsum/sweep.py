@@ -6,6 +6,12 @@ resolves the angle's fractional part to ~M/2^20, ample for M up to 10^4),
 augmented with the two constructions known to attain the bounds' rates.
 Every result records its grid so sweeps are reproducible.
 
+A sweep's set-up is array passes: its means come as int64 arrays of k and
+N in ascending (k, N), a = k/N is one division (grids have N <= 2^53, so
+k and N are exact doubles and the quotient is Python's k / N), and the
+angles come from model._block_angles, which keeps libm's asin per mean so
+that they are bit-identical to derive_angles.
+
 Sweeps evaluate the means of one M in blocks, after deriving all their
 angles in one pass: each block of BLOCK_ELEMENTS means x outcomes is one
 numpy pass of the distribution's block kernel, and of its row-wise median
@@ -48,6 +54,9 @@ __all__ = [
 
 DEFAULT_GRID_N = 2**20
 DEFAULT_GRID_COUNT = 10**4
+# Largest grid N: up to 2^53 every k/N is one division of exact doubles, and
+# distinct means are distinct doubles.
+MAX_GRID_N = 2**53
 # Means x outcomes per numpy pass of an unboosted sweep: enough rows to
 # amortize call overhead at small M; the pass's temporaries stay near 1 MB.
 BLOCK_ELEMENTS = 2**14
@@ -55,15 +64,20 @@ BLOCK_ELEMENTS = 2**14
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A set of means k/N (single N, many k) to sweep over."""
+    """A set of means k/N (single N, many k) to sweep over, with
+    integers 1 <= N <= MAX_GRID_N = 2^53 and k in [0, N]."""
 
     N: int
     ks: tuple[int, ...]
     label: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.N, (int, np.integer)):
+            raise DomainError(f"grid N must be an integer, got {self.N!r}")
         if self.N < 1 or not self.ks:
             raise DomainError("grid must have N >= 1 and at least one k")
+        if self.N > MAX_GRID_N:
+            raise DomainError(f"grid N must be at most 2^53, got {self.N}")
         if min(self.ks) < 0 or max(self.ks) > self.N:
             raise DomainError("grid k values must lie in [0, N]")
 
@@ -93,7 +107,7 @@ class AsymptoticRow(SweepResult):
 def default_grid(
     N: int = DEFAULT_GRID_N, count: int = DEFAULT_GRID_COUNT, dense: bool = False
 ) -> GridSpec:
-    """Evenly subsampled k-grid over [0, N].
+    """Evenly subsampled k-grid over [0, N], for 2 <= N <= MAX_GRID_N = 2^53.
 
     Always includes k in {0, 1, N-1, N} (the extreme means that the
     supremum-error constructions need).  dense sweeps every k; keep N
@@ -101,6 +115,8 @@ def default_grid(
     """
     if N < 2:
         raise DomainError(f"grid N must be at least 2, got {N}")
+    if N > MAX_GRID_N:
+        raise DomainError(f"grid N must be at most 2^53, got {N}")
     if dense:
         ks = tuple(range(N + 1))
         return GridSpec(N, ks, f"k/{N} dense ({N + 1} points)")
@@ -176,15 +192,21 @@ def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):
     model._block_angles gives them."""
     if grid.N <= M:
         raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
-    means = [(k, grid.N) for k in grid.ks]
+    ks = np.array(grid.ks)
+    if ks.dtype.kind not in "iu":
+        raise DomainError(f"grid k values must be integers, got {ks.dtype} values")
+    ks = ks.astype(np.int64)
+    Ns = np.full(len(ks), grid.N, dtype=np.int64)
     label = grid.label
     if include_sharpness:
-        means += [(inst.k, inst.N) for inst in sharpness_instances(M)]
+        extra = sharpness_instances(M)
+        ks = np.concatenate([ks, [inst.k for inst in extra]])
+        Ns = np.concatenate([Ns, [inst.N for inst in extra]])
         label += " + sharpness"
-    means.sort()
-    ks, Ns = zip(*means)
-    a = np.array([k / N for k, N in means])
-    return label, (np.asarray(ks), np.asarray(Ns), a, *_block_angles(ks, Ns, M))
+    order = np.lexsort((Ns, ks))
+    ks, Ns = ks[order], Ns[order]
+    a = ks / Ns  # as Python's k / N: both are exact doubles up to MAX_GRID_N
+    return label, (ks, Ns, a, *_block_angles(ks, Ns, a, M))
 
 
 def _grid_errors(M: int, q: float, means, reps) -> np.ndarray:

@@ -115,6 +115,15 @@ class TestSweep:
                             "argmax_N", "normalized_constant"}
 
 
+    @pytest.mark.parametrize("N", [2**53 + 1, 2**64 - 1, 2**70])
+    def test_grid_n_above_2_53_exits_two(self, capsys, N):
+        code, out, err = run_cli(
+            capsys, "sweep", "--M-list", "6", "--q", "1", "--N", str(N), "--count", "50"
+        )
+        assert (code, out) == (2, "")
+        assert f"grid N must be at most 2^53, got {N}" in err
+
+
 class TestReps:
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(

@@ -41,7 +41,7 @@ class TestBlockAngles:
         cases += [(k, 2**20) for k in default_grid().ks]
         cases += [(k, 2**52) for k in _near_integral_means(M)]
         ks, Ns = zip(*cases)
-        sigma, s, integral = _block_angles(ks, Ns, M)
+        sigma, s, integral = _block_angles(ks, Ns, [k / N for k, N in cases], M)
         angs = [derive_angles(MeanInstance(k, N, M)) for k, N in cases]
         want_sigma = np.array([a.sigma for a in angs])
         want_s = np.array([a.s for a in angs])
@@ -51,7 +51,7 @@ class TestBlockAngles:
         assert s.tobytes() == want_s.tobytes()
         assert np.array_equal(integral, want_flag)
         near_ks = _near_integral_means(M)
-        near = _block_angles(near_ks, [2**52] * len(near_ks), M)[2]
+        near = _block_angles(near_ks, [2**52] * len(near_ks), [k / 2**52 for k in near_ks], M)[2]
         assert near.any() and not near.all()  # both sides of the tolerance
 
 

@@ -122,6 +122,80 @@ class TestWorstAvgError:
             GridSpec(8, (), "empty")
 
 
+class TestGridLimit:
+    @pytest.mark.parametrize("N", [2**53 + 1, 2**64 - 1, 2**70])
+    def test_grid_n_above_2_53_is_a_domain_error(self, N):
+        # past 2^53 the means k/N are no longer distinct doubles, and numpy
+        # holds such ks as floats or objects, or overflows building them
+        with pytest.raises(DomainError, match=r"at most 2\^53"):
+            GridSpec(N, (0, 1, N), "too fine")
+        with pytest.raises(DomainError, match=r"at most 2\^53"):
+            default_grid(N, 50)
+
+    def test_non_integer_grid_is_a_domain_error(self):
+        # an int64 k array would truncate a float k to another mean
+        with pytest.raises(DomainError, match="must be integers"):
+            worst_avg_error(6, 1.0, GridSpec(1024, (100, 300.9), "float k"))
+        with pytest.raises(DomainError, match="must be an integer"):
+            GridSpec(1024.0, (100,), "float N")
+
+
+def _reference_means(M: int, grid: GridSpec, include_sharpness: bool):
+    """A sweep's means built one at a time: sorted (k, N) tuples, Python's
+    k / N and derive_angles per mean."""
+    means = [(k, grid.N) for k in grid.ks]
+    if include_sharpness:
+        means += [(inst.k, inst.N) for inst in sharpness_instances(M)]
+    means.sort()
+    angs = [derive_angles(MeanInstance(k, N, M)) for k, N in means]
+    return (
+        np.array([k for k, _ in means]),
+        np.array([N for _, N in means]),
+        np.array([k / N for k, N in means]),
+        np.array([ang.sigma for ang in angs]),
+        np.array([ang.s for ang in angs]),
+        np.array([ang.sigma_is_integer for ang in angs]),
+    )
+
+
+class TestSweepMeans:
+    """The array set-up of a sweep against the one-mean-at-a-time one."""
+
+    @staticmethod
+    def grids(M):
+        sharp = [inst.k for inst in sharpness_instances(M)]
+        yield default_grid(), True
+        yield GridSpec(2**20, (7, 3, 2**19, 7, 0, 2**20, 3), "unsorted, duplicates"), True
+        # other N: the sharpness means (N = 2^20) interleave by (k, N), and
+        # share their k with a grid mean before (3 * 2^18) or after (2^21)
+        for N in (3 * 2**18, 2**21):
+            ks = set(np.linspace(0, N, 700).round().astype(int).tolist())
+            yield GridSpec(N, tuple(sorted(ks | set(sharp))), f"k/{N}"), True
+        # N = 2^53 with the exact means and sigma on both sides of INTEGER_TOL
+        N = 2**53
+        ks = {0, 1, N // 4, N // 2, N - 1, N} | set(default_grid(N, 500).ks)
+        for m in {1, M // 3, M // 2 - 1}:
+            for t in (0.0, 3e-10, -9e-10, 9.9e-10, 1.1e-9, -1.5e-9, 4e-9):
+                ks.add(round(math.sin(math.pi * (m + t) / M) ** 2 * N))
+        yield GridSpec(N, tuple(sorted(ks)), "k/2^53"), False
+
+    @pytest.mark.parametrize("M", [3, 6, 1053, 4096])
+    def test_bit_identical_to_one_mean_at_a_time(self, M):
+        near_tol = [False, False]  # sigma within, just outside INTEGER_TOL
+        for grid, sharp in self.grids(M):
+            label, got = sweep._sweep_means(M, grid, sharp)
+            want = _reference_means(M, grid, sharp)
+            assert label == grid.label + " + sharpness" * sharp
+            for name, g, w in zip(("ks", "Ns", "a", "sigma", "s", "integral"), got, want):
+                # bit for bit, zeros' signs included
+                assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), (grid.label, name)
+            sigma = M * np.array([math.asin(math.sqrt(a)) for a in want[2]]) / math.pi
+            offset = np.abs(sigma - np.round(sigma))  # before the snap
+            near_tol[0] |= bool(((offset > 0) & want[5]).any())
+            near_tol[1] |= bool(((offset < 2e-9) & ~want[5]).any())
+        assert near_tol == [True, True]
+
+
 def _reference_error(inst: MeanInstance, q: float) -> float:
     """The closed form for one instance, written out independently of the
     block kernel: both csc^2 factors from distances folded into [0, M/2],
@@ -205,7 +279,7 @@ class TestBlockKernel:
 def _kernel_errors(M, q, ks, Ns):
     """Errors of the means ks[i]/Ns[i] from one kernel pass over all of
     them, with the angles (s, integral)."""
-    sigma, s, integral = _block_angles(ks, Ns, M)
+    sigma, s, integral = _block_angles(ks, Ns, [k / N for k, N in zip(ks, Ns)], M)
     return _block_errors(M, q, sigma, s, integral, ks, Ns)[0], s, integral
 
 
@@ -247,6 +321,53 @@ class TestErrorBounds:
                 # a = 1 at odd M: e_1 = 1/M, the bound is attained
                 assert e[-1] == pytest.approx(1.0 / M, rel=1e-14)
                 assert u[-1] == pytest.approx(1.0 / M, rel=1e-14)
+
+
+def _even_q_error(inst: MeanInstance, q: int) -> float:
+    """The local L_q error at even q < M in closed form: e_q^q =
+    sin^2(pi s) G_q(theta) / M, with G_q = -4 sum_{r=1..q} r f_r cos(2 r
+    theta) and f_r the r-th Fourier coefficient of ((cos phi - cos 2
+    theta)/2)^q, a trig polynomial of degree q, so an FFT on 4 q + 4
+    points gives its coefficients exactly."""
+    ang = derive_angles(inst)
+    n = 4 * q + 4
+    phi = 2.0 * np.pi * np.arange(n) / n
+    f = np.fft.rfft(((np.cos(phi) - math.cos(2.0 * ang.theta)) / 2.0) ** q).real / n
+    r = np.arange(1, q + 1)
+    g = -4.0 * np.dot(r * f[1 : q + 1], np.cos(2.0 * r * ang.theta))
+    return (math.sin(math.pi * ang.s) ** 2 * g / inst.M) ** (1.0 / q)
+
+
+class TestEvenQClosedForm:
+    """The kernel against the even-q identity, up to M = 10^4."""
+
+    N = 2**52
+
+    def means(self, rng, M, count):
+        N = self.N
+        ks = {1, N // 4, N // 2, N - 1, N} | set(rng.integers(0, N + 1, count).tolist())
+        return [MeanInstance(k, N, M) for k in sorted(ks)]
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_local_avg_error(self, q):
+        rng = np.random.default_rng(q)
+        for M in [q + 1, q + 2, 10**4] + rng.integers(q + 1, 10**4, 8).tolist():
+            for inst in self.means(rng, M, 20):
+                want = _even_q_error(inst, q)
+                got = local_avg_error(inst, float(q))
+                assert abs(got - want) <= 1e-14 * want, (inst, got, want)
+
+    @pytest.mark.parametrize("q", [2, 4, 6, 8])
+    def test_sweep_rows(self, q):
+        rng = np.random.default_rng(100 + q)
+        for M in [q + 1, 1366, 10**4] + rng.integers(q + 1, 10**4, 3).tolist():
+            insts = self.means(rng, M, 300)
+            want = max(_even_q_error(inst, q) for inst in insts)
+            grid = GridSpec(self.N, tuple(inst.k for inst in insts), "even q")
+            r = worst_avg_error(M, float(q), grid)
+            assert abs(r.worst_error - want) <= 1e-14 * want, (M, r, want)
+            at = _even_q_error(MeanInstance(r.argmax_k, r.argmax_N, M), q)
+            assert abs(r.worst_error - at) <= 1e-14 * want, (M, r, at)
 
 
 @functools.lru_cache(maxsize=None)
@@ -308,7 +429,7 @@ class TestScreen:
         N = 2**52
         ks = sorted({round(math.sin(math.pi * m / M) ** 2 * N) for m in range(M // 2 + 1)})
         grid = GridSpec(N, tuple(ks), "integral")
-        assert _block_angles(ks, [N] * len(ks), M)[2].all()
+        assert _block_angles(ks, [N] * len(ks), [k / N for k in ks], M)[2].all()
         r = worst_avg_error(M, q, grid)
         assert (r.worst_error, r.argmax_k) == (0.0, 0)
 
