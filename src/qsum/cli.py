@@ -228,7 +228,7 @@ def _report_row(suite, observed, main_term, slack, M, q, k=0, N=0) -> dict:
     return {
         "suite": suite, "k": k, "N": N, "M": M, "q": q,
         "observed": observed, "main_term": main_term, "slack": slack,
-        "satisfied": abs(observed - main_term) <= slack + 1e-9,
+        "satisfied": ea._satisfied(observed, main_term, slack),
     }
 
 

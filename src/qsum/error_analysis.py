@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import _block_errors, _row
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .model import MeanInstance, derive_angles
-from .numerics import integrate_adaptive, sin_power_integral
+from .numerics import _gauss_jacobi, sin_power_integral
 
 __all__ = [
     "BoundReport",
@@ -35,23 +35,28 @@ __all__ = [
 # are both at rounding level.
 _GUARD = 1e-9
 
-# Absolute accuracy targets of the q > 1 main terms: check_lq_integral_bound
-# budgets its main term (the q-th power), lq_asymptotic_main_term its
-# full integral.
-_CHECK_QUAD_TOL = 5e-10
-_MAIN_QUAD_TOL = 1e-10
+# Nodes of the Gauss-Jacobi rule on each panel of the q > 1 main-term
+# integrals.  Every singular point off a panel lies at least a quarter of
+# its length beyond an end, which bounds the rule's error by a constant
+# times (1.5 + sqrt 1.25)^(-2n), about 2e-17 at n = 20 (_half_lq_integral).
+_PANEL_NODES = 20
 
 # Constant of the q = 1 local bound's deviation term, (3 pi + 2 + ln pi^2)/pi.
 L1_SLACK_CONSTANT = (3.0 * math.pi + 2.0 + math.log(math.pi**2)) / math.pi
+
+
+def _satisfied(observed: float, main_term: float, slack: float) -> bool:
+    """The one rule of every bound: |observed - main_term| <= slack + _GUARD."""
+    return abs(observed - main_term) <= slack + _GUARD
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """One evaluated bound at one (k, N, M, q).
 
-    satisfied <=> |observed - main_term| <= slack + 1e-9 (enforced);
-    details carries auxiliary recorded quantities (e.g. both integral
-    orientations) as (name, value) pairs.
+    satisfied <=> |observed - main_term| <= slack + 1e-9 (enforced, by
+    _satisfied); details carries auxiliary recorded quantities (e.g. both
+    integral orientations) as (name, value) pairs.
     """
 
     observed: float
@@ -62,8 +67,7 @@ class BoundReport:
     details: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
-        consistent = abs(self.observed - self.main_term) <= self.slack + _GUARD
-        if self.satisfied is not consistent:
+        if self.satisfied is not _satisfied(self.observed, self.main_term, self.slack):
             raise DomainError(
                 "satisfied flag contradicts |observed - main_term| vs slack"
             )
@@ -77,7 +81,7 @@ def _report(
     q: float,
     details: tuple[tuple[str, float], ...] = (),
 ) -> BoundReport:
-    ok = abs(observed - main_term) <= slack + _GUARD
+    ok = _satisfied(observed, main_term, slack)
     return BoundReport(
         observed, main_term, slack, ok, (inst.k, inst.N, inst.M, q), details
     )
@@ -202,42 +206,61 @@ def check_l1_log_bound(inst: MeanInstance) -> BoundReport:
     return _report(observed, main, slack, inst, 1.0)
 
 
-def _lq_integrand(theta: float, q: float):
-    two_theta = 2.0 * theta
+def _half_lq_integral(theta: float, q: float, a: float) -> float:
+    """integral_a^(pi/2) sin(x)^(q-2) |sin(x + 2 theta)|^q dx, 0 <= a <= pi/2.
 
-    def h(x: np.ndarray) -> np.ndarray:
-        return np.sin(x) ** (q - 2.0) * np.abs(np.sin(x + two_theta)) ** q
-
-    return h
-
-
-def _lq_integral(
-    theta: float,
-    q: float,
-    lo: float,
-    hi: float,
-    quad_tol: float,
-) -> float:
-    if hi <= lo:
-        return 0.0
-    # sin(x)^(q-2) blows up only at x = 0 and x = pi; the substitution
-    # machinery is engaged just when a limit actually sits there, since
-    # between them the integrand is bounded and plain bisection certifies
-    # a tighter tolerance.
-    res = integrate_adaptive(
-        _lq_integrand(theta, q),
-        lo,
-        hi,
-        quad_tol,
-        singular_lo=q < 2.0 and lo == 0.0,
-        singular_hi=q < 2.0 and hi >= math.pi,
-    )
-    if not res.converged:
-        raise ConvergenceError(
-            f"main-term integral did not converge on [{lo!r}, {hi!r}] "
-            f"(q={q}, error estimate {res.error_estimate:.3e})"
-        )
-    return res.value
+    Near each of its singular points z, the zero of sin at 0 (power
+    e = q - 2) and the kinks z = -2 theta mod pi (e = q), the integrand is
+    |x - z|^e times an analytic factor.  [a, pi/2] is cut at the kink
+    inside it.  A panel is then split toward any singular point off it
+    that lies nearer than a quarter of its length, which grades panels
+    geometrically toward it, or else halved while longer than 4/sqrt(q),
+    a few widths of the integrand's peak at large q.  A panel that ends
+    at a singular point takes its power, reduced to (-1, 1), into the
+    weight of a Gauss-Jacobi rule; the integer rest is a polynomial
+    factor.  So every panel's rule converges geometrically, and the
+    relative error stays a few ulp times q, the conditioning of the
+    powers, while the integral is not tiny (for q >= 100, values below
+    about 1e-25 lose relative accuracy).  sin is sampled at x <= pi/2
+    and at the offset u from the nearest kink, never near pi.
+    """
+    p0 = math.remainder(-2.0 * theta, math.pi)  # the kink in [-pi/2, pi/2]
+    # The other singular points lie at least pi/2 from [0, pi/2], farther
+    # than any panel there is long.
+    kinks = (p0, p0 + math.pi)
+    points = (0.0, *kinks)
+    half_pi = math.pi / 2.0
+    cuts = sorted({a, half_pi, *(z for z in kinks if a < z < half_pi)})
+    pending = list(zip(cuts, cuts[1:]))
+    panels = []
+    while pending:
+        lo, hi = pending.pop()
+        gap_lo = min((lo - z for z in points if z < lo), default=math.inf)
+        gap_hi = min((z - hi for z in points if z > hi), default=math.inf)
+        cut = lo + 4.0 * gap_lo if gap_lo <= gap_hi else hi - 4.0 * gap_hi
+        if not lo < cut < hi and hi - lo > 4.0 / math.sqrt(q):
+            cut = 0.5 * (lo + hi)
+        if lo < cut < hi:
+            pending += [(lo, cut), (cut, hi)]
+        else:
+            panels.append((lo, hi, min(kinks, key=lambda z: abs(lo + hi - 2.0 * z))))
+    lo, hi, kink = np.array(panels).T
+    kink_lo, kink_hi = lo == kink, hi == kink
+    e_lo, e_hi = (q - 2.0) * (lo == 0.0) + q * kink_lo, q * kink_hi
+    e_lo, e_hi = (np.where(e >= 1.0, e % 1.0, e) for e in (e_lo, e_hi))
+    t, w = map(np.array, zip(*(_gauss_jacobi(_PANEL_NODES, alpha, beta)
+                               for alpha, beta in zip(e_hi.tolist(), e_lo.tolist()))))
+    half = 0.5 * (hi - lo)
+    # the offsets from the ends, exact and positive, also serve as the
+    # offset u from a kink at an end
+    d_lo, d_hi = half[:, None] * (1.0 + t), half[:, None] * (1.0 - t)
+    x = lo[:, None] + d_lo
+    u = np.abs(x - kink[:, None])
+    u = np.where(kink_lo[:, None], d_lo, np.where(kink_hi[:, None], d_hi, u))
+    weight = d_lo ** e_lo[:, None] * d_hi ** e_hi[:, None]
+    f = np.sin(x) ** (q - 2.0) * np.sin(u) ** q / weight
+    sums = np.einsum("ij,ij->i", w, f)
+    return math.fsum((half ** (1.0 + e_lo + e_hi) * sums).tolist())
 
 
 def check_lq_integral_bound(inst: MeanInstance, q: float) -> BoundReport:
@@ -263,24 +286,18 @@ def check_lq_integral_bound(inst: MeanInstance, q: float) -> BoundReport:
     observed = local_avg_error(inst, q) ** q
     sin_pi_s = math.sin(math.pi * ang.s)
     pref = sin_pi_s**2 / (M * math.pi)
-    # _CHECK_QUAD_TOL budgets the MAIN TERM; the integral itself may be
-    # certified proportionally looser when the prefactor is small (for
-    # near-integral sigma the limits almost touch pi, where argument
-    # quantization makes tight absolute certification of the integral
-    # impossible anyway).
-    integral_tol = min(_CHECK_QUAD_TOL / pref, 1e-3)
 
-    main_primary = pref * _lq_integral(
-        ang.theta, q, math.pi * ang.s_hi / M, math.pi * (1.0 - ang.s_lo / M),
-        integral_tol,
-    )
-    if ang.s_lo == ang.s_hi:
-        main_swapped = main_primary
-    else:
-        main_swapped = pref * _lq_integral(
-            ang.theta, q, math.pi * ang.s_lo / M, math.pi * (1.0 - ang.s_hi / M),
-            integral_tol,
-        )
+    def main(lo_offset: float, hi_offset: float) -> float:
+        # the range [lo_offset, pi - hi_offset], folded about pi/2; the
+        # offsets add up to pi/M, so M = 1 leaves it empty
+        if M == 1:
+            return 0.0
+        return pref * (_half_lq_integral(ang.theta, q, lo_offset)
+                       + _half_lq_integral(-ang.theta, q, hi_offset))
+
+    hi_s, lo_s = math.pi * ang.s_hi / M, math.pi * ang.s_lo / M
+    main_primary = main(hi_s, lo_s)
+    main_swapped = main_primary if ang.s_lo == ang.s_hi else main(lo_s, hi_s)
 
     not_two = 0.0 if q == 2.0 else 1.0
     slack = (1.0 + 2.0 * not_two) * math.pi ** (q - 1.0) * sin_pi_s / M**q
@@ -301,15 +318,11 @@ def full_lq_integral(theta: float, q: float) -> float:
     """integral_0^pi sin(x)^(q-2) |sin(x + 2 theta)|^q dx for q > 1.
 
     Folded about pi/2 so both integrable sin^(q-2) blowups (q < 2) sit at
-    an integration limit of exactly 0, where the substitution handling
-    them is float-exact.
+    an integration limit of exactly 0.
     """
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
-    half = math.pi / 2.0
-    left = _lq_integral(theta, q, 0.0, half, _MAIN_QUAD_TOL)
-    right = _lq_integral(-theta, q, 0.0, half, _MAIN_QUAD_TOL)
-    return left + right
+    return _half_lq_integral(theta, q, 0.0) + _half_lq_integral(-theta, q, 0.0)
 
 
 def lq_asymptotic_main_term(inst: MeanInstance, q: float) -> float:
@@ -319,8 +332,7 @@ def lq_asymptotic_main_term(inst: MeanInstance, q: float) -> float:
     |sin(x + 2 theta)|^q dx]^(1/q).
 
     The ratio to local_avg_error tends to 1 as M grows at fixed mean with
-    s bounded away from 0.  Below q ~ 1.059 the integral's endpoint blowup
-    defeats the quadrature, and ConvergenceError is raised.
+    s bounded away from 0.
     """
     if math.isnan(q) or not 1.0 < q < math.inf:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")

@@ -4,6 +4,12 @@ Everything in this module is a pure function of its arguments, safe for
 unrestricted concurrent use.  Scalar routines work in double precision and
 target absolute accuracies one decade below what the bound evaluators and
 their tests demand (1e-13 .. 1e-11 depending on the routine).
+
+Two quadratures: integrate_adaptive, bisection-adaptive Gauss-Legendre
+for integrands that are smooth on the closed interval, and the private
+Gauss-Jacobi rule, which integrates (1 - t)^alpha (1 + t)^beta times a
+smooth factor; the q > 1 main terms of error_analysis are built on the
+latter.
 """
 
 from __future__ import annotations
@@ -166,22 +172,6 @@ _GL_WEIGHTS = np.array(
     ]
 )
 
-# Exponent m of the u = (x - lo)^(1/m) substitution used on panels that
-# touch a flagged-singular endpoint.  m = 12 turns x^alpha endpoint
-# behaviour into u^(m(alpha+1)-1), bounded for every alpha >= -11/12,
-# which covers the x^(q-2) integrands with q > 1 that arise here down to
-# q ~ 1.084 and all the negative sine powers exercised by the tests.
-_SINGULAR_EXPONENT = 12.0
-
-# Smallest argument offset from a singular endpoint at which f is still
-# sampled.  Near a nonzero endpoint the float grid quantizes offsets to
-# multiples of its ulp, so samples below ~2^33 ulp are too noisy to use;
-# the remaining sliver is integrated analytically from a power-law fit
-# instead of being sampled.  (A zero endpoint has no such wall: floats
-# are dense there, hence the tiny floor.)
-_OFFSET_ULP_FACTOR = 2.0**33
-_OFFSET_FLOOR = 1e-280
-
 
 def _vectorized(f: Callable, lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
     """Adapt f to ndarray evaluation, falling back to a scalar loop."""
@@ -206,14 +196,7 @@ def _panel(fv: Callable, a: float, b: float) -> tuple[float, float]:
     return half * float(np.dot(_GL_WEIGHTS, y)), tv
 
 
-def _adapt(
-    fv: Callable,
-    a: float,
-    b: float,
-    tol: float,
-    budget: int,
-    noise_floor: Callable | None = None,
-):
+def _adapt(fv: Callable, a: float, b: float, tol: float, budget: int):
     """Bisection-adaptive Gauss-Legendre on [a, b].
 
     Returns (value, error_estimate, evaluations, converged).  Panels are
@@ -221,9 +204,8 @@ def _adapt(
     falls under the noise floor: float arguments carry rounding of order
     |x| eps, which puts an irreducible level ~ eps |x| |f'| on integrand
     values; refining past it would split forever without gaining
-    accuracy.  The default floor estimates |f'| dx from the node-to-node
-    variation; callers with sharper models (singular pieces) can pass
-    noise_floor(lo, hi, fine).
+    accuracy.  The floor estimates |f'| dx from the node-to-node
+    variation.
     """
     total = b - a
     value = 0.0
@@ -251,8 +233,6 @@ def _adapt(
         fine = left + right
         disc = abs(fine - coarse)
         floor = 4.0 * arg_eps * (tv_l + tv_r)
-        if noise_floor is not None:
-            floor = max(floor, noise_floor(lo, hi, fine))
         if disc <= max(share * (hi - lo), floor) or (hi - lo) <= min_width:
             value += fine
             err += disc
@@ -262,131 +242,58 @@ def _adapt(
     return value, err, evals, True
 
 
-def _power_tail(g: Callable, a: float):
-    """Integral of g over [0, a] assuming g ~ C u^beta there, beta > -1.
-
-    The exponent is fitted from samples at a, c a, c^2 a, where c keeps
-    the corresponding argument offsets within a factor 16 so the local
-    power law is clean; the leading quadratic deviation from it is
-    removed by Richardson extrapolation of the two one-step slopes, whose
-    spread also feeds the error estimate.  Returns (tail, error, ok,
-    alpha), where alpha is the implied local exponent of f itself at the
-    endpoint (0 for a bounded integrand).
-    """
-    m = _SINGULAR_EXPONENT
-    c = 4.0 ** (1.0 / m)
-    s = g(np.array([a, c * a, c * c * a]))
-    if not np.all(np.isfinite(s)):
-        return 0.0, math.inf, False, 1.0
-    if s[0] == 0.0:
-        return 0.0, float(np.abs(s).max()) * a, True, 0.0
-    sgn = 1.0 if s[0] > 0.0 else -1.0
-    mags = sgn * s
-    if mags.min() <= 0.0:
-        # Sign change this close to the endpoint: not a power law.
-        return 0.0, float(np.abs(s).max()) * a, True, 1.0
-    log_c = math.log(c)
-    b12 = math.log(mags[1] / mags[0]) / log_c
-    b23 = math.log(mags[2] / mags[1]) / log_c
-    ratio = c ** (2.0 * m)  # growth of the u^(2m) correction per step
-    beta = (ratio * b12 - b23) / (ratio - 1.0)
-    if beta <= -0.999 or b12 <= -0.999:
-        return 0.0, math.inf, False, 1.0
-    tail = sgn * mags[0] * a / (beta + 1.0)
-    alt = sgn * mags[0] * a / (b12 + 1.0)
-    err = abs(tail - alt) + 1e-14 * abs(tail)
-    alpha = (beta + 1.0) / m - 1.0
-    return tail, err, True, alpha
-
-
-def _singular_piece(fv: Callable, endpoint: float, sign: float, w: float,
-                    tol: float, budget: int):
-    """Integrate f over the width-w interval ending at a singular endpoint.
-
-    sign = +1 integrates [endpoint, endpoint + w], sign = -1 the mirror.
-    Uses the u = offset^(1/m) substitution on the sampled range and a
-    fitted power-law tail for offsets the float grid around the endpoint
-    cannot resolve.
-    """
-    m = _SINGULAR_EXPONENT
-
-    def g(u, _fv=fv, _e=endpoint, _s=sign):
-        return _fv(_e + _s * u**m) * m * u ** (m - 1.0)
-
-    upper = w ** (1.0 / m)
-    eps_abs = abs(endpoint) * np.finfo(float).eps
-    offset_min = max(_OFFSET_FLOOR, eps_abs * _OFFSET_ULP_FACTOR)
-    # The fit samples sit at a, c a, c^2 a and must stay inside [0, upper].
-    c2 = 4.0 ** (2.0 / m)
-    a = min(offset_min ** (1.0 / m), 0.9 * upper / c2)
-    tail, tail_err, ok, alpha = _power_tail(g, a)
-
-    noise_floor = None
-    noise_gain = abs(alpha) + 1e-3
-    if eps_abs > 0.0:
-        # Quantizing x = endpoint +- u^m to the float grid leaves integrand
-        # values with relative noise ~ |alpha| eps_abs / u^m; refining
-        # below that cannot help, so it caps the acceptance threshold.
-        def noise_floor(lo, hi, fine, _eps=eps_abs, _gain=noise_gain):
-            return 4.0 * _gain * abs(fine) * _eps / lo**m if lo > 0.0 else math.inf
-
-    value, err, evals, conv = _adapt(g, a, upper, tol, budget, noise_floor)
-    return value + tail, err + tail_err, evals + 3, conv and ok
-
-
 def integrate_adaptive(
     f: Callable,
     lo: float,
     hi: float,
     abs_tol: float = 1e-10,
     *,
-    singular_lo: bool = False,
-    singular_hi: bool = False,
     max_evals: int = 10**6,
 ) -> QuadratureResult:
     """Adaptive quadrature of f over [lo, hi] to absolute tolerance abs_tol.
 
-    A flagged endpoint declares integrable power-law behaviour there
-    (f ~ C (x - endpoint)^alpha with alpha > -1).  The outermost quarter
-    of the interval on that side is then integrated under the
-    power-absorbing substitution u = (x - endpoint)^(1/m), which turns
-    the blowup into a bounded integrand and never evaluates f at the
-    endpoint itself; the sliver of offsets too small for the float grid
-    around the endpoint to resolve is completed analytically from a
-    local power-law fit.  On success error_estimate <= abs_tol; if the
-    evaluation budget runs out the best estimate is returned with
-    converged = False.
+    f is sampled only at interior Gauss-Legendre nodes, never at lo or
+    hi.  On success error_estimate <= abs_tol; if the evaluation budget
+    runs out the best estimate is returned with converged = False.
     """
     if not lo < hi:
         raise DomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     if not abs_tol > 0.0:
         raise DomainError(f"abs_tol must be positive, got {abs_tol!r}")
-    fv = _vectorized(f, lo, hi)
-    length = hi - lo
-    w = 0.25 * length
-    npieces = 1 + int(singular_lo) + int(singular_hi)
-    piece_tol = abs_tol / npieces
-
-    value = 0.0
-    err = 0.0
-    evals = 0
-    converged = True
-    for flagged, endpoint, sign in ((singular_lo, lo, 1.0), (singular_hi, hi, -1.0)):
-        if flagged:
-            v, e, n, ok = _singular_piece(fv, endpoint, sign, w, piece_tol,
-                                          max_evals - evals)
-            value += v
-            err += e
-            evals += n
-            converged = converged and ok
-    inner_lo = lo + w if singular_lo else lo
-    inner_hi = hi - w if singular_hi else hi
-    v, e, n, ok = _adapt(fv, inner_lo, inner_hi, piece_tol, max_evals - evals)
-    value += v
-    err += e
-    evals += n
-    converged = converged and ok and err <= abs_tol
+    value, err, evals, ok = _adapt(_vectorized(f, lo, hi), lo, hi, abs_tol, max_evals)
+    converged = ok and err <= abs_tol
     return QuadratureResult(float(value), float(err), evals, bool(converged))
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Jacobi rule on [-1, 1] for the weight
+    (1 - t)^alpha (1 + t)^beta, alpha, beta > -1, as (nodes, weights).
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the symmetric tridiagonal matrix of the Jacobi polynomials'
+    three-term recurrence, and each weight is mu0 times the squared first
+    component of its eigenvector, mu0 being the integral of the weight.
+    The rule is exact for polynomials of degree below 2n.
+    """
+    ab = alpha + beta
+    k = np.arange(1.0, n)
+    s = 2.0 * k + ab
+    diag = np.append((beta - alpha) / (ab + 2.0), (beta**2 - alpha**2) / (s * (s + 2.0)))
+    # The squared off-diagonal carries (k + ab)/(s - 1), which is 1 at
+    # k = 1; setting it there keeps ab = -1 finite.
+    ratio = np.ones(n - 1)
+    ratio[1:] = (k[1:] + ab) / (s[1:] - 1.0)
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * ratio / (s * s * (s + 1.0)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    mu0 = 2.0 ** (ab + 1.0) * math.exp(
+        math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(ab + 2.0)
+    )
+    weights = mu0 * vectors[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def rectangle_rule(f: Callable, a: float, b: float, k: int) -> float:

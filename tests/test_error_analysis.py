@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from qsum.errors import DomainError
-from qsum.errors import ConvergenceError
 from qsum.model import MeanInstance, derive_angles, random_instances
 from qsum.numerics import integrate_adaptive
 from qsum.error_analysis import (
     L1_SLACK_CONSTANT,
+    _half_lq_integral,
     check_cot_sum_rectangle_bound,
     check_l1_cot_sum_bound,
     check_l1_log_bound,
     check_lq_integral_bound,
     cot_sum,
+    full_lq_integral,
     local_avg_error,
     local_sup_error,
     lq_asymptotic_main_term,
@@ -265,12 +266,122 @@ class TestRandomizedBatteries:
             assert check_lq_integral_bound(inst, qs[i % 5]).satisfied
 
 
+def _gamma_form(q):
+    # integral_0^pi sin^(2q-2) x dx = sqrt(pi) Gamma(q - 1/2) / Gamma(q),
+    # the full integral at theta = pi/2, where |sin(x + pi)|^q = sin^q x
+    return math.sqrt(math.pi) * math.exp(math.lgamma(q - 0.5) - math.lgamma(q))
+
+
 class TestMainTermNearQOne:
-    def test_quadrature_limit_pinned(self):
-        # below q ~ 1.059 the folded main-term integral of sin^(q-2) does
-        # not converge; the failure is a ConvergenceError, never another error
+    def test_gamma_form_at_half_pi(self):
+        # k = N with odd M: theta = pi/2 and s = 1/2, so sin^2(pi s) = 1
+        inst = MeanInstance(8, 8, 1001)
+        for q in (1.01, 1.05):
+            want = (_gamma_form(q) / math.pi / inst.M) ** (1.0 / q)
+            assert lq_asymptotic_main_term(inst, q) == pytest.approx(want, rel=1e-14)
+
+    def test_seeded_means_are_finite(self):
         insts = random_instances(np.random.default_rng(3), 20, require_noninteger=True)
         for inst in insts[:5]:
-            with pytest.raises(ConvergenceError):
-                lq_asymptotic_main_term(inst, 1.05)
-            assert math.isfinite(lq_asymptotic_main_term(inst, 1.1))
+            for q in (1.01, 1.05, 1.1):
+                assert 0.0 < lq_asymptotic_main_term(inst, q) < math.inf
+
+
+class TestFullLqIntegral:
+    @pytest.mark.parametrize("q", [1.01, 1.05, 1.5, 2.0, 3.0])
+    def test_gamma_form_at_half_pi(self, q):
+        assert full_lq_integral(math.pi / 2, q) == pytest.approx(_gamma_form(q), rel=1e-14)
+
+    @pytest.mark.parametrize("q", [10.0, 50.0, 200.0, 1000.0])
+    def test_gamma_form_at_large_q(self, q):
+        # the powers lose a few ulp times q; the weight's power 2q - 2 at
+        # the merged kink is taken mod 1, so the rule stays finite
+        assert full_lq_integral(math.pi / 2, q) == pytest.approx(_gamma_form(q), rel=2e-15 * q)
+
+    def test_single_outcome_range_is_empty(self):
+        # M = 1: the range [pi s_hi, pi - pi s_lo] has no length
+        r = check_lq_integral_bound(MeanInstance(1, 3, 1), 1.5)
+        assert r.main_term == 0.0
+        assert dict(r.details) == {"main_primary": 0.0, "main_swapped": 0.0}
+
+
+def _half_reference(theta, q, a):
+    """integral_a^(pi/2) sin(x)^(q-2) |sin(x + 2 theta)|^q dx in 20-digit
+    mpmath, independent of the Gauss-Jacobi panels: exact pi in the
+    kinks and in the upper limit; tanh-sinh on pieces cut at the kink and
+    graded by powers of 8 toward a singular point near a piece; and
+    x = u^m, m = 1/(q - 1), on a piece that starts at the sin^(q-2)
+    blowup, so the quadrature sees a bounded integrand there."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 20
+    th, q, lo = mp.mpf(theta), mp.mpf(q), mp.mpf(a)
+
+    def f(x):
+        return mp.sin(x) ** (q - 2) * abs(mp.sin(x + 2 * th)) ** q
+
+    p0 = -2 * th - mp.pi * mp.nint(-2 * th / mp.pi)  # the kink in [-pi/2, pi/2]
+    points = (mp.zero, p0, p0 + mp.pi)
+    cuts = sorted({lo, mp.pi / 2} | {z for z in points if lo < z < mp.pi / 2})
+    total = mp.zero
+    for left, right in zip(cuts, cuts[1:]):
+        nodes = {left, right}
+        for z in points:
+            if not left <= z <= right:
+                end, step = (left, left - z) if z < left else (right, right - z)
+                while abs(step) < right - left:
+                    nodes.add(end + step)
+                    step *= 8
+        nodes = sorted(nodes)
+        if left == 0 and q < 2:
+            m = 1 / (q - 1)
+            total += mp.quad(lambda u: f(u**m) * m * u ** (m - 1), [0, nodes[1] ** (1 / m)])
+            nodes = nodes[1:]
+        total += mp.quad(f, nodes)
+    return total
+
+
+def _truncated_cases():
+    """100 random (theta, q, a) with a > 0: four in five put the kink
+    within 1e-9 .. 1e-1 of pi/2 (theta near pi/4) or of the blowup at 0
+    (theta near 0 or pi/2), and a quarter take offsets a from 1e-10 to
+    1e-4; then theta = +-pi/4 and +-pi/2, where the kink sits at pi/2
+    and at 0."""
+    rng = np.random.default_rng(1969)
+    qs = (1.01, 1.05, 1.2, 1.5, 2.0, 2.5, 3.0, 5.0)
+    cases = []
+    for i in range(100):
+        q = float(rng.choice(qs)) if i % 2 else float(rng.uniform(1.01, 5.0))
+        near = 10.0 ** rng.uniform(-9, -1)
+        theta = (
+            float(rng.uniform(0.0, math.pi / 2)),
+            math.pi / 2 - near,
+            math.pi / 4 + near,
+            math.pi / 4 - near,
+            near,
+        )[i % 5]
+        M = int(rng.integers(3, 4097))
+        a = (10.0 ** rng.uniform(-10, -4) if i % 4 == 0
+             else math.pi * float(rng.uniform(0.01, 1)) / M)
+        cases.append((float(rng.choice([-1.0, 1.0])) * theta, q, a))
+    for theta in (math.pi / 4, math.pi / 2):
+        for sign in (1.0, -1.0):
+            for q, a in ((1.01, 1e-10), (1.5, 3e-4), (3.0, 0.3)):
+                cases.append((sign * theta, q, a))
+    return cases
+
+
+class TestHalfLqIntegral:
+    """The folded half-integral of the q > 1 main terms against mpmath."""
+
+    @pytest.mark.parametrize("theta, q, a", _truncated_cases())
+    def test_against_mpmath(self, theta, q, a):
+        want = float(_half_reference(theta, q, a))
+        assert _half_lq_integral(theta, q, a) == pytest.approx(want, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("q", [1.01, 1.2, 2.5])
+    def test_untruncated_against_mpmath(self, q):
+        for theta in (0.0, 0.3, math.pi / 4, 1.2, math.pi / 2 - 1e-6):
+            for sign in (1.0, -1.0):
+                want = float(_half_reference(sign * theta, q, 0.0))
+                assert _half_lq_integral(sign * theta, q, 0.0) == pytest.approx(want, rel=1e-13)

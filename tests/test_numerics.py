@@ -106,16 +106,18 @@ class TestSinPowerIntegral:
 
     @pytest.mark.parametrize("p", [-0.9, -0.5, 0.5, 1.0, 3.0])
     def test_agrees_with_quadrature(self, p):
-        res = integrate_adaptive(
-            lambda x: np.sin(x) ** p,
-            0.0,
-            math.pi,
-            1e-8,
-            singular_lo=p < 0,
-            singular_hi=p < 0,
-        )
-        assert res.converged
-        assert abs(res.value - sin_power_integral(p)) <= 1e-8
+        if p < 0:
+            # Gauss-Jacobi with weight (x (pi - x))^p, x = pi (1 + t)/2;
+            # sin x = sin y at the offset y from the nearer end
+            t, w = numerics._gauss_jacobi(30, p, p)
+            y = 0.5 * math.pi * (1.0 - np.abs(t))
+            ratio = np.sin(y) / (y * (math.pi - y))
+            value = (0.5 * math.pi) ** (2.0 * p + 1.0) * float(w @ ratio**p)
+        else:
+            res = integrate_adaptive(lambda x: np.sin(x) ** p, 0.0, math.pi, 1e-8)
+            assert res.converged
+            value = res.value
+        assert abs(value - sin_power_integral(p)) <= 1e-8
 
     @pytest.mark.parametrize("p", [-1.0, -1.5])
     def test_divergent_rejected(self, p):
@@ -129,11 +131,6 @@ class TestIntegrateAdaptive:
         assert res.converged
         assert res.error_estimate <= 1e-12
         assert abs(res.value - 2.0) <= 1e-12
-
-    def test_inverse_sqrt_singular(self):
-        res = integrate_adaptive(lambda x: x**-0.5, 0.0, 1.0, 1e-10, singular_lo=True)
-        assert res.converged
-        assert abs(res.value - 2.0) <= 1e-10
 
     def test_cos_squared_form(self):
         q = 2.0
@@ -175,12 +172,60 @@ class TestGaussLegendreRule:
         assert numerics._GL_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_import_leaves_numpy_polynomial_out(self):
-        # a fresh interpreter: the test process itself has loaded it above
+        # a fresh interpreter: the test process itself has loaded it above;
+        # no Gauss-Jacobi rule is built at import either
         env = dict(os.environ)
         src = str(Path(qsum.__file__).parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, qsum; sys.exit('numpy.polynomial' in sys.modules)"
+        code = (
+            "import sys, qsum; sys.exit('numpy.polynomial' in sys.modules"
+            " or qsum.numerics._gauss_jacobi.cache_info().currsize > 0)"
+        )
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+class TestGaussJacobiRule:
+    """Golub-Welsch nodes and weights for (1 - t)^alpha (1 + t)^beta."""
+
+    def test_legendre_case_equals_literals(self):
+        nodes, weights = numerics._gauss_jacobi(15, 0.0, 0.0)
+        assert np.abs(nodes - numerics._GL_NODES).max() <= 1e-15
+        assert np.abs(weights - numerics._GL_WEIGHTS).max() <= 1e-15
+
+    # the (alpha, beta) pairs the main-term panels use at q = 1.01, 1.5
+    # and 3, and the sin-power oracle's symmetric ones
+    EXPONENTS = sorted(
+        {(a, b) for q in (1.01, 1.5, 3.0)
+         for a, b in ((q, q - 2), (0.0, q - 2), (q, 2 * q - 2), (0.0, 2 * q - 2),
+                      (q, 0.0), (0.0, q), (0.0, 0.0))}
+        | {(-0.5, -0.5), (-0.9, -0.9)}
+    )
+
+    @pytest.mark.parametrize("alpha, beta", EXPONENTS)
+    def test_moments_match_beta_closed_forms(self, alpha, beta):
+        # integral (1 - t)^alpha (1 + t)^beta t^k over [-1, 1], with
+        # t = 2u - 1 and the binomial expansion of (2u - 1)^k, is
+        # 2^(alpha+beta+1) sum_j C(k, j) 2^j (-1)^(k-j) B(beta+j+1, alpha+1);
+        # the alternating sum is taken in 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        ctx = mpmath.mp.clone()
+        ctx.dps = 50
+        a, b = ctx.mpf(alpha), ctx.mpf(beta)
+
+        betas = [ctx.beta(b + j + 1, a + 1) for j in range(40)]
+        moments = [
+            float(2 ** (a + b + 1) * ctx.fsum(
+                math.comb(k, j) * 2**j * (-1) ** (k - j) * betas[j] for j in range(k + 1)
+            ))
+            for k in range(40)
+        ]
+        for n in (1, 2, 5, 20):
+            nodes, weights = numerics._gauss_jacobi(n, alpha, beta)
+            assert np.all(np.diff(nodes) > 0) and nodes[0] > -1 and nodes[-1] < 1
+            assert np.all(weights > 0)
+            for k in range(2 * n):
+                got = float(weights @ nodes**k)
+                assert abs(got - moments[k]) <= 1e-13 * moments[0], (n, k)
 
 
 class TestRectangleRule:
@@ -230,17 +275,8 @@ class TestRectangleRule:
 
 
 class TestQuadratureResultTypes:
-    @pytest.mark.parametrize(
-        "f, flags",
-        [
-            (lambda x: x**-0.5, {"singular_lo": True}),
-            (lambda x: (1.0 - x) ** -0.5, {"singular_hi": True}),
-            (lambda x: np.sin(math.pi * x) ** -0.5, {"singular_lo": True, "singular_hi": True}),
-            (np.sin, {}),
-        ],
-    )
-    def test_builtin_types(self, f, flags):
-        res = integrate_adaptive(f, 0.0, 1.0, 1e-10, **flags)
+    def test_builtin_types(self):
+        res = integrate_adaptive(np.sin, 0.0, 1.0, 1e-10)
         assert type(res.value) is float
         assert type(res.error_estimate) is float
         assert type(res.evaluations) is int
