@@ -10,6 +10,15 @@ a with angles (theta, sigma, s) the outcome probabilities are
 except that integral sigma collapses the distribution to a point mass on
 an index whose output equals a exactly.  Both distributions here are
 immutable after construction and may be shared across threads freely.
+
+The median of 2n+1 draws is computed in two halves: _median_points, the
+atom boundaries read from their nearer tails, which do not depend on n,
+and _median_step, the median polynomial at those points.  Sweeps run both
+per block.  The one-mean boosted functions share a memo, _mean_base, of
+the 4 most recent means' outcome distributions, folded atoms and median
+points, so repeated calls on one mean build them once; its entries are
+read-only arrays, safe to share across threads, and at most 4 of them,
+O(M) memory each, are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -135,6 +144,27 @@ def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     j, partner = j.astype(float), -j % M
     j.flags.writeable = partner.flags.writeable = alphas.flags.writeable = False  # shared
     return j, partner, alphas
+
+
+class _MeanBase(NamedTuple):
+    """The n-independent half of one mean's boosted errors, read-only."""
+
+    d: OutcomeDistribution
+    rhos: np.ndarray  # folded atoms, one row
+    points: tuple  # their _median_points
+
+
+@functools.lru_cache(maxsize=4)
+def _mean_base(inst: MeanInstance) -> _MeanBase:
+    """One mean's checked outcome distribution, folded atoms and median
+    points, kept for the 4 most recent means: a curve over n and q of one
+    mean, or a Monte Carlo cross-check of it, builds them once."""
+    d = outcome_distribution(inst)
+    rhos = _fold_atoms(d.p[None])
+    points = _median_points(rhos)
+    for arr in (rhos, *points):
+        arr.flags.writeable = False
+    return _MeanBase(d, rhos, points)
 
 
 def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -268,39 +298,62 @@ def _fold_atoms(p: np.ndarray) -> np.ndarray:
     return rhos
 
 
-def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
-    """Atom masses of the median of 2n+1 draws, along the last axis: the
-    median CDF I at each row's atom boundaries, differenced.  n = 0 keeps
-    the atoms, which CDF differences would round.
+def _median_points(rhos: np.ndarray):
+    """The n-independent half of the median step, along the last axis of
+    the atoms rhos: each atom boundary's tail point, the mask of the
+    boundaries read from the right tail, and the mask of the one atom whose
+    boundaries straddle the switch between the two tails.
 
     Each boundary is read from its nearer tail, so no difference is taken
-    between two values near 1: where the left cumulative F <= 1/2 the value
-    is I(F); beyond it, it is I(F) - 1 = -I(G), with the right tail G
-    summed from the right.  All these points go through one table call.
-    The one atom whose boundaries straddle the switch gets the 1 back, so
-    the masses still telescope to I(1) - I(0) = 1.
+    between two values near 1: where the left cumulative F <= 1/2 the point
+    is F; beyond it, it is the right tail G, summed from the right.
     """
-    n = _check_n(n)
-    if n == 0:
-        return rhos.copy()
     shape = rhos.shape[:-1] + (rhos.shape[-1] + 1,)
     left, right = np.zeros(shape), np.zeros(shape)
     np.cumsum(rhos, axis=-1, out=left[..., 1:])
     np.cumsum(rhos[..., ::-1], axis=-1, out=right[..., -2::-1])
     near = left <= 0.5
-    tails = median_cdf_table(np.where(near, left, right), n)
-    np.negative(tails, out=tails, where=~near)
+    return np.where(near, left, right), ~near, near[..., :-1] & ~near[..., 1:]
+
+
+def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
+    """Atom masses of the median of 2n+1 draws from the atoms rhos, along
+    the last axis, given their _median_points: the median CDF I at each
+    boundary, differenced.  n = 0 keeps the atoms, which CDF differences
+    would round.
+
+    A near boundary's value is I(F); a far one's is I(F) - 1 = -I(G).  All
+    these points go through one table call.  The switch atom gets the 1
+    back, so the masses still telescope to I(1) - I(0) = 1.
+    """
+    n = _check_n(n)
+    if n == 0:
+        return rhos.copy()
+    tail_points, far, switch = points
+    tails = median_cdf_table(tail_points, n)
+    np.negative(tails, out=tails, where=far)
     masses = np.diff(tails, axis=-1)
-    masses[near[..., :-1] & ~near[..., 1:]] += 1.0
+    masses[switch] += 1.0
     return masses
+
+
+def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
+    """Atom masses of the median of 2n+1 draws: both halves of the median
+    step back to back (n = 0 needs no points)."""
+    return _median_step(rhos, _median_points(rhos) if _check_n(n) else None, n)
+
+
+def _median_lq(M: int, masses: np.ndarray, a: np.ndarray, q: float) -> np.ndarray:
+    """Per-row L_q error of the means a whose median has the atom masses
+    (rows x (M//2 + 1)) over the outputs of j = 0..M//2."""
+    devs = np.abs(a[:, None] - _index_tables(M)[2]) ** q
+    return np.einsum("ij,ij->i", masses, devs) ** (1.0 / q)
 
 
 def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.ndarray:
     """Per-row L_q error of the median of 2n+1 runs, for outcome
     probabilities p (rows x M) of the means a, in one table evaluation."""
-    rhos = _median_masses(_fold_atoms(p), n)
-    devs = np.abs(a[:, None] - _index_tables(p.shape[-1])[2]) ** q
-    return np.einsum("ij,ij->i", rhos, devs) ** (1.0 / q)
+    return _median_lq(p.shape[-1], _median_masses(_fold_atoms(p), n), a, q)
 
 
 def exact_error(inst: MeanInstance, j: int) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .distribution import _block_errors, _row
 from .errors import DomainError
 from .model import MeanInstance, derive_angles
-from .numerics import _gauss_jacobi, sin_power_integral
+from .numerics import _check_q, _gauss_jacobi, sin_power_integral
 
 __all__ = [
     "BoundReport",
@@ -95,8 +95,7 @@ def local_avg_error(inst: MeanInstance, q: float) -> float:
     routine because "max over positive-probability outcomes" does not fit
     the L_q machinery.
     """
-    if math.isnan(q) or q < 1.0 or math.isinf(q):
-        raise DomainError(f"q must lie in [1, inf), got {q!r}")
+    _check_q(q)
     ang = derive_angles(inst)
     return float(_block_errors(inst.M, q, *_row(inst, ang))[0][0])
 

@@ -88,6 +88,21 @@ def _check_n(n) -> int:
     return int(n)
 
 
+def _check_q(q: float) -> None:
+    """The exponent of an L_q average: q in [1, inf)."""
+    if math.isnan(q) or q < 1.0 or math.isinf(q):
+        raise DomainError(f"q must lie in [1, inf), got {q!r}")
+
+
+def _check_count(value, name: str) -> int:
+    """A count of draws or runs: an integer (not a bool), at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be positive, got {value}")
+    return int(value)
+
+
 def regularized_incomplete_beta(x: float, n: int) -> float:
     """Distribution function of the median of 2n+1 iid uniforms on [0, 1].
 

@@ -12,6 +12,14 @@ atom boundary, from the nearer tail: at F below the median, and through
 I(F) = 1 - I(G) at the mass G to the right beyond it, so no mass is a
 difference of two values near 1.  The masses telescope to
 I(1) - I(0) = 1 up to the rounding of each difference.
+
+The boundaries, the tail each is read from and the atom at the switch do
+not depend on n.  repetition_error, and the sampler's one-mean functions,
+take them with the outcome distribution and its atoms from a memo of the
+4 most recent means (distribution._mean_base), so a curve over n and q of
+one mean builds that base once; each call then costs one table call and
+one L_q sum.  The memo's entries are read-only, so sharing them across
+threads is safe.
 """
 
 from __future__ import annotations
@@ -21,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutputDistribution, outcome_distribution
-from .distribution import _block_median_errors, _median_masses
-from .errors import DomainError
+from .distribution import OutputDistribution, _mean_base, _median_lq
+from .distribution import _median_masses, _median_step
 from .model import MeanInstance
-from .numerics import MAX_REPETITION_N  # noqa: F401
+from .numerics import MAX_REPETITION_N, _check_n, _check_q  # noqa: F401
 from .sweep import (
     GridSpec,
     _check_m_list,
@@ -100,14 +107,16 @@ def repetition_error(inst: MeanInstance, q: float, n: int) -> float:
 
     Matches local_avg_error at n = 0 and is exactly 0 on the
     integral-sigma branch (the base is already a point mass at the mean);
-    a one-row case of the boosted sweep's median step.
+    a one-row case of the boosted sweep's median step, on the mean's
+    memoized base.
     """
-    if math.isnan(q) or q < 1.0 or math.isinf(q):
-        raise DomainError(f"q must lie in [1, inf), got {q!r}")
-    d = outcome_distribution(inst)
-    if d.angles.sigma_is_integer:
+    _check_q(q)
+    n = _check_n(n)
+    base = _mean_base(inst)
+    if base.d.angles.sigma_is_integer:
         return 0.0
-    return float(_block_median_errors(d.p[None], np.array([inst.a]), q, n)[0])
+    masses = _median_step(base.rhos, base.points, n)
+    return float(_median_lq(inst.M, masses, np.array([inst.a]), q)[0])
 
 
 def check_repetition_theorem(
@@ -120,8 +129,7 @@ def check_repetition_theorem(
     asserts; the absolute constant is reported, not asserted, because no
     closed-form value for it is available.
     """
-    if math.isnan(q) or q < 1.0 or math.isinf(q):
-        raise DomainError(f"q must lie in [1, inf), got {q!r}")
+    _check_q(q)
     _check_m_list(M_list)
     n = math.ceil(q) + 1
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid

@@ -47,12 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutcomeDistribution, _index_tables
-from .distribution import collapse_outputs, outcome_distribution
+from .distribution import OutcomeDistribution, _index_tables, _mean_base, _median_step
 from .errors import DomainError
 from .model import MeanInstance
-from .numerics import _check_n
-from .repetitions import median_distribution
+from .numerics import _check_count, _check_n, _check_q
 
 __all__ = [
     "SampleRun",
@@ -136,8 +134,7 @@ def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray
     Deterministic in (seed, count): the same call always returns the same
     index sequence, bit for bit.
     """
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
+    count = _check_count(count, "count")
     return _inverse_cdf(d.p)(_to_uniforms(_splitmix64_from(seed, 0, count)))
 
 
@@ -175,12 +172,10 @@ def empirical_repetition_error(
     cross-validation contract.  n follows the exact engines' rule: an
     integer in [0, MAX_REPETITION_N].
     """
-    if math.isnan(q) or q < 1.0 or math.isinf(q):
-        raise DomainError(f"q must lie in [1, inf), got {q!r}")
+    _check_q(q)
     n = _check_n(n)
-    if runs < 1:
-        raise DomainError(f"runs must be positive, got {runs}")
-    d = outcome_distribution(inst)
+    runs = _check_count(runs, "runs")
+    d = _mean_base(inst).d
     draw = _inverse_cdf(d.p)
     width = 2 * n + 1
     j = np.arange(d.M)
@@ -208,7 +203,7 @@ def empirical_repetition_error(
         stat -= mean
         stat *= stat
         se = math.sqrt(np.add.reduce(stat) / (runs - 1)) / math.sqrt(runs)
-    return SampleRun(int(seed), int(runs), mean ** (1.0 / q), se)
+    return SampleRun(int(seed), runs, mean ** (1.0 / q), se)
 
 
 def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> float:
@@ -217,13 +212,17 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
 
     The comparison scale for cross-checks: a run whose draws never hit a
     rare atom reports a sample standard error of zero, and this exact
-    value takes over there.
+    value takes over there.  It is exactly 0 on the integral-sigma branch,
+    where every median is the mean itself.
     """
-    if runs < 1:
-        raise DomainError(f"runs must be positive, got {runs}")
-    base = collapse_outputs(outcome_distribution(inst))
-    med = median_distribution(base, n)
-    devs = np.abs(inst.a - med.alphas) ** q
-    mean = float(np.dot(med.rhos, devs))
-    var = float(np.dot(med.rhos, devs**2)) - mean**2
+    _check_q(q)
+    n = _check_n(n)
+    runs = _check_count(runs, "runs")
+    base = _mean_base(inst)
+    if base.d.angles.sigma_is_integer:
+        return 0.0
+    rhos = _median_step(base.rhos, base.points, n)[0]
+    devs = np.abs(inst.a - _index_tables(inst.M)[2]) ** q
+    mean = float(np.dot(rhos, devs))
+    var = float(np.dot(rhos, devs**2)) - mean**2
     return math.sqrt(max(var, 0.0) / runs)

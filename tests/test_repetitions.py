@@ -1,13 +1,16 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qsum import distribution
 from qsum.errors import DomainError
 from qsum.model import MeanInstance, derive_angles, random_instances
 from qsum.distribution import (
     OutputDistribution,
+    _block_median_errors,
     collapse_outputs,
     outcome_distribution,
 )
@@ -18,6 +21,7 @@ from qsum.repetitions import (
     repetition_error,
 )
 from qsum import sweep
+from qsum.sampler import empirical_repetition_error, exact_standard_error
 from qsum.sweep import default_grid, worst_avg_error
 
 
@@ -149,6 +153,129 @@ class TestRepetitionError:
             repetition_error(MeanInstance(8, 8, 3), 0.5, 1)
         with pytest.raises(DomainError):
             repetition_error(MeanInstance(8, 8, 3), math.inf, 1)
+
+    # integral-sigma means: a = 0, a = 1 at even M, a = 1/2 at M = 0 mod 4
+    @pytest.mark.parametrize("k, N, M", [(0, 8, 7), (0, 5, 4), (8, 8, 4), (3, 3, 10), (4, 8, 4), (5, 10, 12)])
+    @pytest.mark.parametrize("n", [65, -1, True, 2.5])
+    def test_n_checked_on_integral_sigma(self, k, N, M, n):
+        # the same message as at a mean with a nonintegral sigma
+        with pytest.raises(DomainError) as want:
+            repetition_error(MeanInstance(3, 7, M), 1.0, n)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            repetition_error(MeanInstance(k, N, M), 1.0, n)
+
+
+def _near_integer_means(M: int, rng) -> list[MeanInstance]:
+    """Means whose sigma lies 3e-9 on either side of an integer m."""
+    N = 2**52
+    out = []
+    for m in (1, int(rng.integers(1, M // 2 + 1))):
+        for delta in (-3e-9, 3e-9):
+            a = math.sin(math.pi * (m + delta) / M) ** 2
+            out.append(MeanInstance(round(a * N), N, M))
+    return out
+
+
+class TestMeanBaseMemo:
+    """repetition_error, exact_standard_error and empirical_repetition_error
+    share one memoized base per mean: its outcome distribution, folded atoms
+    and median points."""
+
+    NS = (0, 1, 2, 3, 8, 32, 64)
+    QS = (1.0, 1.5, 2.0, 3.0)
+
+    @staticmethod
+    def means() -> list[MeanInstance]:
+        rng = np.random.default_rng(19)
+        out = []
+        for M in (3, 4, 6, 22, 1366, 4096):
+            out += random_instances(rng, 3, m_range=(M, M))
+            out += [MeanInstance(0, 7, M), MeanInstance(1, 2, M), MeanInstance(9, 9, M)]
+            out += [m for m in _near_integer_means(M, rng) if M > 3]
+        out.append(MeanInstance(4, 8, 4))  # a = 1/2 with integral sigma
+        return list(dict.fromkeys(out))  # distinct, in order
+
+    @staticmethod
+    def uncached(inst, q, n) -> float:
+        """The boosted sweep's rule: the kernel path, and 0 at integral sigma."""
+        if derive_angles(inst).sigma_is_integer:
+            return 0.0
+        p = outcome_distribution(inst).p[None]
+        return float(_block_median_errors(p, np.array([inst.a]), q, n)[0])
+
+    def test_bits_equal_uncached_kernel_path(self):
+        means = self.means()
+        assert any(derive_angles(i).sigma_is_integer for i in means)
+        assert any(0 < derive_angles(i).s < 1e-8 for i in means)
+        want = {
+            (inst, q, n): self.uncached(inst, q, n).hex()
+            for inst in means for q in self.QS for n in self.NS
+        }
+        distribution._mean_base.cache_clear()
+        for inst in means:  # mean-major: one miss per mean, then hits
+            for q in self.QS:
+                for n in self.NS:
+                    assert repetition_error(inst, q, n).hex() == want[inst, q, n]
+        info = distribution._mean_base.cache_info()
+        assert (info.misses, info.hits) == (len(means), len(want) - len(means))
+        distribution._mean_base.cache_clear()
+        for n in self.NS:  # n-major: more means than entries, so every call misses
+            for q in self.QS:
+                for inst in means:
+                    assert repetition_error(inst, q, n).hex() == want[inst, q, n]
+        info = distribution._mean_base.cache_info()
+        assert (info.misses, info.hits) == (len(want), 0)
+
+    def test_exact_standard_error_bits(self):
+        # against the median distribution of the collapsed outputs, as
+        # exact_standard_error computed it before the memo
+        distribution._mean_base.cache_clear()
+        for inst in self.means():
+            med = {n: median_distribution(collapse_outputs(outcome_distribution(inst)), n) for n in self.NS}
+            for q in self.QS:
+                for n in self.NS:
+                    devs = np.abs(inst.a - med[n].alphas) ** q
+                    mean = float(np.dot(med[n].rhos, devs))
+                    var = float(np.dot(med[n].rhos, devs**2)) - mean**2
+                    want = math.sqrt(max(var, 0.0) / 1000)
+                    assert exact_standard_error(inst, q, n, 1000).hex() == want.hex()
+
+    def test_curve_builds_one_distribution(self, monkeypatch):
+        calls = []
+        build = distribution.outcome_distribution
+
+        def counted(inst):
+            calls.append(inst)
+            return build(inst)
+
+        monkeypatch.setattr(distribution, "outcome_distribution", counted)
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(84667, 329873, 1366)
+        for q in (1.0, 2.0):
+            for n in (0, 1, 3, 8, 32, 64):
+                repetition_error(inst, q, n)
+        assert calls == [inst]
+        inst = MeanInstance(3, 7, 13)
+        empirical_repetition_error(inst, 2.0, 1, 100, seed=1)
+        exact_standard_error(inst, 2.0, 1, 100)
+        repetition_error(inst, 2.0, 1)
+        assert calls[1:] == [inst]
+
+    def test_bounded_and_read_only(self):
+        distribution._mean_base.cache_clear()
+        maxsize = distribution._mean_base.cache_info().maxsize
+        assert maxsize == 4
+        means = self.means()
+        for inst in means:
+            repetition_error(inst, 2.0, 3)
+            assert distribution._mean_base.cache_info().currsize <= maxsize
+        for inst in means[-maxsize:]:  # the entries the memo holds
+            base = distribution._mean_base(inst)
+            for arr in (base.d.p, base.rhos, *base.points):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+        assert distribution._mean_base.cache_info().misses == len(means)
 
 
 class TestRepetitionTheorem:

@@ -128,6 +128,35 @@ class TestEmpiricalRepetitionError:
         with pytest.raises(DomainError):
             empirical_repetition_error(inst, 1.0, 0, 0, seed=1)
 
+    @pytest.mark.parametrize("q", [0.5, -1.0, math.nan, math.inf])
+    def test_exact_standard_error_q_rule(self, q):
+        # repetition_error's rule and message, word for word
+        inst = MeanInstance(3, 7, 13)
+        with pytest.raises(DomainError) as want:
+            repetition_error(inst, q, 1)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            exact_standard_error(inst, q, 1, 100)
+
+    @pytest.mark.parametrize("runs", [1.5, True, 1.0, 0, -2, np.float64(3.0)])
+    def test_run_count_rule(self, runs):
+        # an integer, not a bool, at least 1: the same message everywhere
+        inst = MeanInstance(3, 7, 13)
+        with pytest.raises(DomainError) as want:
+            empirical_repetition_error(inst, 1.0, 1, runs, seed=1)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(want.value))}$"):
+            exact_standard_error(inst, 1.0, 1, runs)
+        with pytest.raises(DomainError, match=re.escape(str(want.value)).replace("runs", "count")):
+            sample_outcomes(outcome_distribution(inst), runs, seed=1)
+
+    def test_numpy_integer_run_counts(self):
+        inst = MeanInstance(3, 7, 13)
+        run = empirical_repetition_error(inst, 1.0, 1, np.int64(100), seed=1)
+        assert run == empirical_repetition_error(inst, 1.0, 1, 100, seed=1)
+        assert type(run.draws) is int
+        assert exact_standard_error(inst, 1.0, 1, np.int32(100)) == exact_standard_error(inst, 1.0, 1, 100)
+        d = outcome_distribution(inst)
+        assert np.array_equal(sample_outcomes(d, np.int64(50), seed=2), sample_outcomes(d, 50, seed=2))
+
     @pytest.mark.parametrize("n", [65, np.int64(65), -1, True, 1.0])
     def test_n_rule_matches_exact_engines(self, n):
         # the exact median distribution's message, word for word
