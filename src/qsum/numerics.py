@@ -94,13 +94,22 @@ def _check_q(q: float) -> None:
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
 
 
-def _check_count(value, name: str) -> int:
-    """A count of draws or runs: an integer (not a bool), at least 1."""
+def _check_count(value, name: str, least: int = 1) -> int:
+    """A count of draws or runs: an integer (not a bool), at least
+    `least`, which is 1, or 0 for a raw stream's length."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise DomainError(f"{name} must be positive, got {value}")
+    if value < least:
+        raise DomainError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
     return int(value)
+
+
+def _check_seed(seed) -> int:
+    """A stream seed: an integer (not a bool) of any sign and size, read
+    modulo 2^64."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+    return int(seed)
 
 
 def regularized_incomplete_beta(x: float, n: int) -> float:

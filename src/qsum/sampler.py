@@ -9,29 +9,40 @@ results.  Reference outputs for seed 0 (first three):
     0xE220A8397B1DCDAF  0x6E789E6AA1B965F4  0x06C45D188009454F
 
 Uniform doubles take the top 53 bits, u = (z >> 11) * 2^-53 in [0, 1).
+A run of outputs from any start is one add of the scalar seed + start *
+gamma (mod 2^64) to the offsets (i + 1) * gamma, which a simulation
+computes once per call, then the mix.
 
 Outcome draws are the exact inverse CDF j = #{i : cum[i] <= u} of the
 cumulative sums cum of p (last entry set to 1), found through a guide
 table (Chen & Asau 1974; Devroye 1986, III.2.4).  Its K = 2^11 equal
-bins of u each store the one index their u can map to, or a miss.  Bin
-b = floor(u K) covers [b/K, (b+1)/K); u K, its floor and both ends are
-exact, since K is a power of two and u has 53 bits.  Each u in the bin
-maps to at least lo = #{cum <= b/K} and at most hi = #{cum < (b+1)/K},
-so a bin with lo == hi stores lo.  Only draws in a bin that holds a CDF
-step fall back to a binary search: at most M - 1 of the K bins, each of
-mass 1/K, so at most (M - 1)/K of the draws on average, under 1/32 for
-M <= 64.  Either way the index is the one np.searchsorted(cum, u,
-side="right") gives, bit for bit.  K does not grow with M, so the table
-is 16 KB at every M; past M = K up to every draw may fall back, which
-stays exact but saves nothing over the plain search.
+bins of u each store the label of the one index their u can map to, or
+a miss.  Bin b = floor(u K) covers [b/K, (b+1)/K); u K, its floor and
+both ends are exact, since K is a power of two and u has 53 bits, and b
+is read off the integer output as its top 11 bits, z >> 53, without
+forming u.  Each u in the bin maps to at least lo = #{cum <= b/K} and at
+most hi = #{cum < (b+1)/K}, so a bin with lo == hi stores lo's label.
+Only draws in a bin that holds a CDF step fall back to a binary search
+on their uniforms, the only ones formed: at most M - 1 of the K bins,
+each of mass 1/K, so at most (M - 1)/K of the draws on average, under
+1/32 for M <= 64.  Either way the index is the one np.searchsorted(cum,
+u, side="right") gives, bit for bit.  K does not grow with M, so the
+table is 8 KB of uint32 ranks (16 KB of int64 indices for
+sample_outcomes) at every M; past M = K up to every draw may fall back,
+which stays exact but saves nothing over the plain search.
 
 A median of 2n+1 draws is taken on folded ranks min(j, M - j), the
-smallest integer dtype that holds M/2, by an in-place partition, and
-then mapped to |a - alpha|^q through a table over the ranks.  Outputs
-alpha = sin^2(pi rank / M) are nondecreasing in the rank, and an order
-statistic commutes with a nondecreasing map, so this equals the median
-of the gathered outputs exactly.  On the integral-sigma branch every
-draw hits the one support index, whose output is the mean itself.
+labels of the median table, and then mapped to |a - alpha|^q through a
+table over the ranks.  Outputs alpha = sin^2(pi rank / M) are
+nondecreasing in the rank, and an order statistic commutes with a
+nondecreasing map, so this equals the median of the gathered outputs
+exactly.  Each draw of a chunk's run r becomes the key (r << bits) |
+rank, bits wide enough for M/2, in uint32 while the chunk's keys fit
+and uint64 past that; one flat sort of the chunk's keys puts run r's
+draws in order in slots r w .. r w + w - 1 (w = 2n+1), so its median
+rank is key[r w + n] & (2^bits - 1).  A run of one draw needs no sort.
+On the integral-sigma branch every draw hits the one support index,
+whose output is the mean itself.
 
 Memory: runs are simulated in chunks of _CHUNK_RUNS, so the draw
 buffers do not grow with the run count (under 1 MB at 2n+1 = 7).  What
@@ -48,9 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import OutcomeDistribution, _index_tables, _mean_base, _median_step
-from .errors import DomainError
 from .model import MeanInstance
-from .numerics import _check_count, _check_n, _check_q
+from .numerics import _check_count, _check_n, _check_q, _check_seed
 
 __all__ = [
     "SampleRun",
@@ -66,14 +76,18 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
 # Runs simulated per batch of draws: bounds the draw arrays of a large
-# simulation without changing its result.  At width 7 a batch's arrays
-# (112 KB) stay below the common 128 KiB mmap threshold of malloc, so they
-# are reused from the heap instead of mapped afresh for every batch.
+# simulation without changing its result.  The counter offsets and the
+# two mixing buffers are allocated once per call; at width 7 the arrays
+# made per batch (56 KB of keys) stay below the common 128 KiB mmap
+# threshold of malloc, so they are reused from the heap.
 _CHUNK_RUNS = 2**11
 # Guide-table bins, a power of two.  The Monte Carlo cross-checks (M up
 # to 64) ran fastest near here: fewer bins miss more often, and the
 # table (16 KB) still sits in L1.
 _BINS = 2**11
+# The bin of a stream output z: its top bits, z >> 53 = floor(u K) for
+# u = (z >> 11) 2^-53, exactly, since K = 2^11.
+_BIN_SHIFT = np.uint64(65 - _BINS.bit_length())
 
 
 @dataclass(frozen=True)
@@ -94,18 +108,30 @@ class SampleRun:
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64 for the given seed, as uint64."""
-    if count < 0:
-        raise DomainError(f"count must be nonnegative, got {count}")
-    return _splitmix64_from(seed, 0, count)
+    seed = _check_seed(seed)
+    count = _check_count(count, "count", least=0)
+    z = _counters(count)
+    z += _base(seed, 0)
+    return _mix(z, np.empty_like(z))
 
 
-def _splitmix64_from(seed: int, start: int, count: int) -> np.ndarray:
-    """Outputs start .. start+count-1 of SplitMix64 for the given seed,
-    mixed in place in one output buffer and one scratch buffer."""
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def _counters(count: int) -> np.ndarray:
+    """Counter offsets (i + 1) * gamma mod 2^64 of a stream's outputs
+    i < count, counted from any start: see _base."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
     z *= _GAMMA
-    z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    t = np.empty_like(z)
+    return z
+
+
+def _base(seed: int, start: int) -> np.uint64:
+    """(seed + start * gamma) mod 2^64: output start + i of the stream
+    mixes this plus offset i of _counters."""
+    return np.uint64((seed + start * int(_GAMMA)) & 0xFFFFFFFFFFFFFFFF)
+
+
+def _mix(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of the counters z, in place, with t (of
+    z's shape and dtype) as scratch."""
     for shift, mix in ((30, _MIX1), (27, _MIX2)):
         np.right_shift(z, np.uint64(shift), out=t)
         z ^= t
@@ -135,25 +161,33 @@ def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray
     index sequence, bit for bit.
     """
     count = _check_count(count, "count")
-    return _inverse_cdf(d.p)(_to_uniforms(_splitmix64_from(seed, 0, count)))
+    z = splitmix64(seed, count)
+    return _inverse_cdf(d.p, np.arange(d.M))(z, np.empty_like(z))
 
 
-def _inverse_cdf(p: np.ndarray):
-    """The exact inverse CDF of p as a function of uniforms u in [0, 1):
-    np.searchsorted(cum, u, side="right") through a guide table (see the
-    module docstring)."""
+def _inverse_cdf(p: np.ndarray, labels: np.ndarray):
+    """The exact inverse CDF of p as a function of stream outputs z: the
+    label of index np.searchsorted(cum, u, side="right") at each uniform
+    u = (z >> 11) 2^-53, through a guide table (see the module docstring).
+
+    The table holds labels in their integer dtype, whose all-ones value
+    marks a miss, so no label may take it.  The draw also takes a scratch
+    array t of z's shape and dtype, and leaves z as it was.
+    """
     cum = np.cumsum(p)
     cum[-1] = 1.0
     K = _BINS
     lo = np.searchsorted(cum, np.arange(K) / K, side="right")
     hi = np.searchsorted(cum, np.arange(1, K + 1) / K, side="left")
-    guide = np.where(lo == hi, lo, -1).astype(np.int64, copy=False)
+    miss = ~labels.dtype.type(0)
+    guide = np.where(lo == hi, labels.take(lo), miss)
 
-    def draw(u: np.ndarray) -> np.ndarray:
-        j = guide.take((u * K).astype(np.intp))
-        miss = np.flatnonzero(j < 0)
-        j[miss] = np.searchsorted(cum, u[miss], side="right")
-        return j
+    def draw(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        np.right_shift(z, _BIN_SHIFT, out=t)  # the bin floor(u K), < K
+        out = guide.take(t.view(np.intp), mode="wrap")  # in range: no check
+        fall = np.flatnonzero(out == miss)
+        out[fall] = labels.take(np.searchsorted(cum, _to_uniforms(z[fall]), side="right"))
+        return out
 
     return draw
 
@@ -175,11 +209,11 @@ def empirical_repetition_error(
     _check_q(q)
     n = _check_n(n)
     runs = _check_count(runs, "runs")
+    seed = _check_seed(seed)
     d = _mean_base(inst).d
-    draw = _inverse_cdf(d.p)
     width = 2 * n + 1
     j = np.arange(d.M)
-    ranks = np.minimum(j, d.M - j).astype(np.min_scalar_type(d.M // 2))
+    ranks = np.minimum(j, d.M - j)
     alphas = _index_tables(d.M)[2]
     if d.angles.sigma_is_integer:
         # The support point's output equals the mean exactly.
@@ -187,14 +221,29 @@ def empirical_repetition_error(
         alphas[ranks[np.argmax(d.p)]] = inst.a
     devs = np.abs(inst.a - alphas) ** q
 
+    # A chunk's draws are keys (run << bits) | rank over its runs run <
+    # chunk: one sort puts each run's ranks in order in its own slot.
+    chunk = min(_CHUNK_RUNS, runs)
+    bits = (d.M // 2).bit_length()
+    key = np.uint32 if chunk << bits <= 2**32 else np.uint64
+    mask = key(2**bits - 1)
+    draw = _inverse_cdf(d.p, ranks.astype(key))
+    runs_keys = np.repeat(np.arange(chunk, dtype=key) << key(bits), width)
+    offsets = _counters(chunk * width)
+    z, t = np.empty_like(offsets), np.empty_like(offsets)
+
     # runs r0 .. r0+c-1 read stream outputs r0*width .. (r0+c)*width - 1
     stat = np.empty(runs)
     for r0 in range(0, runs, _CHUNK_RUNS):
         c = min(_CHUNK_RUNS, runs - r0)
-        u = _to_uniforms(_splitmix64_from(seed, r0 * width, c * width))
-        r = ranks.take(draw(u)).reshape(c, width)
-        r.partition(n, axis=1)  # each run's median rank lands in column n
-        stat[r0 : r0 + c] = devs.take(r[:, n])
+        zc, tc = z[: c * width], t[: c * width]
+        np.add(offsets[: c * width], _base(seed, r0 * width), out=zc)
+        r = draw(_mix(zc, tc), tc)
+        if width > 1:  # else the one draw is the median
+            r |= runs_keys[: c * width]
+            r.sort()
+            r = r[n::width] & mask  # each run's (n+1)-th smallest rank
+        stat[r0 : r0 + c] = devs.take(r)
     # ndarray.mean and .std(ddof=1), bit for bit, without std's full-size
     # temporary: the same pairwise sums, then the deviations in place
     mean = float(np.add.reduce(stat) / runs)
@@ -203,7 +252,7 @@ def empirical_repetition_error(
         stat -= mean
         stat *= stat
         se = math.sqrt(np.add.reduce(stat) / (runs - 1)) / math.sqrt(runs)
-    return SampleRun(int(seed), runs, mean ** (1.0 / q), se)
+    return SampleRun(seed, runs, mean ** (1.0 / q), se)
 
 
 def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> float:
@@ -224,5 +273,6 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     rhos = _median_step(base.rhos, base.points, n)[0]
     devs = np.abs(inst.a - _index_tables(inst.M)[2]) ** q
     mean = float(np.dot(rhos, devs))
-    var = float(np.dot(rhos, devs**2)) - mean**2
-    return math.sqrt(max(var, 0.0) / runs)
+    devs -= mean
+    devs *= devs  # two passes: E[X^2] - E[X]^2 cancels when X is concentrated
+    return math.sqrt(max(float(np.dot(rhos, devs)), 0.0) / runs)

@@ -227,8 +227,8 @@ class TestMeanBaseMemo:
         assert (info.misses, info.hits) == (len(want), 0)
 
     def test_exact_standard_error_bits(self):
-        # against the median distribution of the collapsed outputs, as
-        # exact_standard_error computed it before the memo
+        # against the median distribution of the collapsed outputs, the
+        # uncached path, with exact_standard_error's two-pass variance
         distribution._mean_base.cache_clear()
         for inst in self.means():
             med = {n: median_distribution(collapse_outputs(outcome_distribution(inst)), n) for n in self.NS}
@@ -236,7 +236,7 @@ class TestMeanBaseMemo:
                 for n in self.NS:
                     devs = np.abs(inst.a - med[n].alphas) ** q
                     mean = float(np.dot(med[n].rhos, devs))
-                    var = float(np.dot(med[n].rhos, devs**2)) - mean**2
+                    var = float(np.dot(med[n].rhos, (devs - mean) ** 2))
                     want = math.sqrt(max(var, 0.0) / 1000)
                     assert exact_standard_error(inst, q, n, 1000).hex() == want.hex()
 

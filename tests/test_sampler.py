@@ -11,7 +11,7 @@ import pytest
 import qsum
 from qsum import sampler
 from qsum.errors import DomainError
-from qsum.model import MeanInstance
+from qsum.model import MeanInstance, random_instances
 from qsum.distribution import _index_tables, collapse_outputs, outcome_distribution
 from qsum.error_analysis import local_avg_error
 from qsum.repetitions import median_distribution, repetition_error
@@ -32,6 +32,10 @@ class TestSplitMix64:
 
     def test_seed_wraps_modulo_64_bits(self):
         assert np.array_equal(splitmix64(2**64 + 5, 4), splitmix64(5, 4))
+
+    def test_empty_stream(self):
+        # a count of 0 is a valid stream length
+        assert splitmix64(1, 0).shape == (0,) and splitmix64(1, 0).dtype == np.uint64
 
     def test_uniform_range(self):
         u = uniform_doubles(99, 10_000)
@@ -128,6 +132,39 @@ class TestEmpiricalRepetitionError:
         with pytest.raises(DomainError):
             empirical_repetition_error(inst, 1.0, 0, 0, seed=1)
 
+    @staticmethod
+    def fsum_standard_error(inst, q, n, runs):
+        """The two-pass standard error in exact sums, over the median
+        distribution of the collapsed outputs."""
+        med = median_distribution(collapse_outputs(outcome_distribution(inst)), n)
+        devs = [abs(inst.a - float(a)) ** q for a in med.alphas]
+        rhos = [float(r) for r in med.rhos]
+        mean = math.fsum(r * x for r, x in zip(rhos, devs))
+        var = math.fsum(r * (x - mean) ** 2 for r, x in zip(rhos, devs))
+        return math.sqrt(max(var, 0.0) / runs)
+
+    @pytest.mark.parametrize(
+        "k, N, M, q, n, want",
+        [
+            # E[X^2] - E[X]^2 gave 0.0 and 5.14e-12 here
+            (481106, 931040, 784, 2.0, 64, 9.69e-27),
+            (634931, 730430, 1301, 1.0, 64, 2.29e-12),
+        ],
+    )
+    def test_exact_standard_error_concentrated(self, k, N, M, q, n, want):
+        inst = MeanInstance(k, N, M)
+        got = exact_standard_error(inst, q, n, 1)
+        assert got == pytest.approx(want, rel=5e-3, abs=0.0)
+        assert got == pytest.approx(self.fsum_standard_error(inst, q, n, 1), rel=1e-12, abs=0.0)
+
+    def test_exact_standard_error_two_pass(self):
+        rng = np.random.default_rng(20)
+        for inst in random_instances(rng, 40, m_range=(2, 1999), require_noninteger=True):
+            for q, n in ((1.0, 0), (2.0, 3), (1.5, 64)):
+                assert exact_standard_error(inst, q, n, 100) == pytest.approx(
+                    self.fsum_standard_error(inst, q, n, 100), rel=1e-12, abs=0.0
+                ), (inst, q, n)
+
     @pytest.mark.parametrize("q", [0.5, -1.0, math.nan, math.inf])
     def test_exact_standard_error_q_rule(self, q):
         # repetition_error's rule and message, word for word
@@ -167,6 +204,41 @@ class TestEmpiricalRepetitionError:
             empirical_repetition_error(inst, 1.0, n, 100, seed=1)
 
 
+_ARG_INST = MeanInstance(3, 7, 13)
+# the four public functions that read the stream, by (seed, count)
+_STREAM_CALLS = {
+    "splitmix64": splitmix64,
+    "uniform_doubles": uniform_doubles,
+    "sample_outcomes": lambda seed, count: sample_outcomes(outcome_distribution(_ARG_INST), count, seed),
+    "empirical_repetition_error": lambda seed, count: empirical_repetition_error(_ARG_INST, 1.0, 1, count, seed),
+}
+
+
+@pytest.mark.parametrize("name", list(_STREAM_CALLS))
+class TestStreamArguments:
+    """Seeds and draw counts: integers, not bools, so that a float is not
+    truncated and True is not read as seed 1."""
+
+    @pytest.mark.parametrize("seed", [2.5, 1.0, np.float64(3.0), True, False, None, "7"])
+    def test_seed_rule(self, name, seed):
+        with pytest.raises(DomainError, match="^seed must be an integer, got "):
+            _STREAM_CALLS[name](seed, 10)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, np.float64(3.0), True, False, None, -1])
+    def test_count_rule(self, name, count):
+        with pytest.raises(DomainError, match=r"^(count|runs) must be (an integer|nonnegative|positive), got "):
+            _STREAM_CALLS[name](1, count)
+
+    def test_integer_seeds(self, name):
+        # numpy integers of either sign, read like Python ints modulo 2^64
+        call = _STREAM_CALLS[name]
+        for seed, same in ((np.int64(-3), 2**64 - 3), (np.uint64(2**63 + 1), 2**63 + 1)):
+            a, b = call(seed, 10), call(same, 10)
+            if isinstance(a, sampler.SampleRun):
+                a, b = (a.empirical_error_q, a.standard_error), (b.empirical_error_q, b.standard_error)
+            assert np.array_equal(a, b)
+
+
 def _searchsorted_draws(p, u):
     """The reference inverse CDF: binary search over the cumulative sums."""
     cum = np.cumsum(p)
@@ -174,31 +246,55 @@ def _searchsorted_draws(p, u):
     return np.searchsorted(cum, u, side="right")
 
 
+def _uniforms_of(z):
+    """The uniform u = (z >> 11) 2^-53 of each stream output z."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 # every bin edge of a guide table with up to 2^16 bins
 _BIN_EDGES = np.arange(2**16) / 2**16
 
 
-def _edge_uniforms(p):
-    """u = 0, the largest uniform 1 - 2^-53, every CDF step, every bin
-    edge, the double just below each, and a spread of stream uniforms."""
+def _edge_outputs(p):
+    """Stream outputs around each edge uniform (u = 0, the largest uniform
+    1 - 2^-53, every CDF step, every bin edge): the 53-bit values at, just
+    below and just above it, each with the 11 low bits that the uniform
+    drops all zero and all ones; then a spread of stream outputs."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
-    steps = np.concatenate((cum, _BIN_EDGES))
-    u = np.concatenate(([1.0 - 2.0**-53], steps, np.nextafter(steps, 0.0),
-                        uniform_doubles(5, 20_000)))
-    return u[u < 1.0]
+    edges = np.concatenate(([0.0, 1.0 - 2.0**-53], cum, _BIN_EDGES))
+    m = np.floor(edges * 2.0**53).astype(np.int64)  # exact: a power-of-two scale
+    m = np.concatenate((m - 1, m, m + 1))
+    top = np.unique(m[(m >= 0) & (m < 2**53)]).astype(np.uint64) << np.uint64(11)
+    return np.concatenate((top, top | np.uint64(2**11 - 1), splitmix64(5, 20_000)))
+
+
+def _guide_draws(p, z):
+    """sampler._inverse_cdf's draws of z for both label sets it is used
+    with: the indices themselves (sample_outcomes) and the folded ranks
+    min(j, M - j) in a key dtype (the medians).  Checks that z is kept."""
+    M = len(p)
+    j = np.arange(M)
+    out = []
+    for labels in (j, np.minimum(j, M - j).astype(np.uint32)):
+        kept = z.copy()
+        got = sampler._inverse_cdf(p, labels)(z, np.empty_like(z))
+        assert np.array_equal(z, kept)
+        assert got.dtype == labels.dtype
+        out.append((got, labels))
+    return out
 
 
 class TestGuideTableInverseCdf:
-    """The guide-table draw against np.searchsorted, index for index, and
-    the premise of the rank median."""
+    """The guide-table draw of stream outputs against np.searchsorted on
+    their uniforms, index for index, and the premise of the rank median."""
 
     @staticmethod
     def check(p):
-        u = _edge_uniforms(p)
-        got = sampler._inverse_cdf(p)(u)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, _searchsorted_draws(p, u))
+        z = _edge_outputs(p)
+        want = _searchsorted_draws(p, _uniforms_of(z))
+        for got, labels in _guide_draws(p, z):
+            assert np.array_equal(got, labels[want])
 
     @pytest.mark.parametrize("M", [1, 2, 7, 256, 4096])
     def test_point_masses(self, M):
@@ -242,9 +338,11 @@ class TestGuideTableInverseCdf:
 
     def test_bin_count_is_a_power_of_two(self):
         # the premise of exact bins: u K, its floor and the bin ends b/K
-        # are then exact, which no edge case above can cover for every K
+        # are then exact, and the bin is the top bits of the stream output
         K = sampler._BINS
         assert K >= 1 and K & (K - 1) == 0
+        z = _edge_outputs(np.full(3, 1.0 / 3))
+        assert np.array_equal(z >> sampler._BIN_SHIFT, np.floor(_uniforms_of(z) * K).astype(np.uint64))
 
     def test_outputs_nondecreasing_in_rank(self):
         # the premise of the rank median: an order statistic commutes with
@@ -261,14 +359,14 @@ class TestGuideTableInverseCdf:
             weights=st.lists(
                 st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=1, max_size=600
             ).filter(lambda w: sum(w) > 0),
-            grid=st.lists(st.integers(0, 2**53 - 1), max_size=50),
-            extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+            grid=st.lists(st.integers(0, 2**64 - 1), max_size=50),
         )
-        def prop(weights, grid, extra):
+        def prop(weights, grid):
             p = np.array(weights) / math.fsum(weights)
-            u = np.concatenate((_edge_uniforms(p), np.array(grid, dtype=float) * 2.0**-53,
-                                np.array(extra, dtype=float)))
-            assert np.array_equal(sampler._inverse_cdf(p)(u), _searchsorted_draws(p, u))
+            z = np.concatenate((_edge_outputs(p), np.array(grid, dtype=np.uint64)))
+            want = _searchsorted_draws(p, _uniforms_of(z))
+            for got, labels in _guide_draws(p, z):
+                assert np.array_equal(got, labels[want])
 
         prop()
 
@@ -287,9 +385,20 @@ class TestChunkedDraws:
         return float(stat.mean()) ** (1.0 / q), se
 
     @pytest.mark.parametrize("chunk", [1, 7, 2**16])
-    @pytest.mark.parametrize("q, n", [(1.0, 0), (2.0, 1), (3.0, 3)])
-    def test_chunked_equals_one_pass(self, q, n, chunk, monkeypatch):
-        inst = MeanInstance(5, 32, 10)
+    @pytest.mark.parametrize(
+        "q, n, M",
+        [
+            pytest.param(1.0, 0, 10, id="1.0-0"),
+            pytest.param(2.0, 1, 10, id="2.0-1"),
+            pytest.param(3.0, 3, 10, id="3.0-3"),
+            pytest.param(1.5, 8, 10, id="1.5-8"),
+            pytest.param(2.0, 64, 10, id="2.0-64"),
+            # ranks past 255, two bytes each; keys of 10 rank bits
+            pytest.param(2.0, 2, 600, id="2.0-2-M600"),
+        ],
+    )
+    def test_chunked_equals_one_pass(self, q, n, M, chunk, monkeypatch):
+        inst = MeanInstance(5, 32, 10) if M == 10 else MeanInstance(123, 4096, M)
         runs = 250  # 7 does not divide it
         want = self.one_pass(inst, q, n, runs, seed=77)
         monkeypatch.setattr(sampler, "_CHUNK_RUNS", chunk)
