@@ -167,9 +167,10 @@ def _mean_base(inst: MeanInstance) -> _MeanBase:
     return _MeanBase(d, rhos, points)
 
 
-def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _folded_sines(j: np.ndarray, sigma: np.ndarray, M: int | None = None) -> np.ndarray:
     """|sin(pi (j - sigma)/M)| for the M indices j, one row per sigma, via
-    the distance of j - sigma to the nearest multiple of M.
+    the distance of j - sigma to the nearest multiple of M.  With M given,
+    j may be any indices in [0, M), one row of them per sigma.
 
     The subtraction j - sigma is exact precisely when its result is small,
     so the near-pole factors keep full relative accuracy and vanish
@@ -178,7 +179,7 @@ def _folded_sines(j: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     factor needs no second pass: |sin(pi (j + sigma)/M)| is this one at
     index (M - j) mod M, from the same exact subtraction.
     """
-    M = len(j)
+    M = len(j) if M is None else M
     d = np.abs(j - sigma[:, None])  # in [0, M)
     np.minimum(d, M - d, out=d)  # folded into [0, M/2]
     d *= np.pi
@@ -324,7 +325,9 @@ def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
 
     A near boundary's value is I(F); a far one's is I(F) - 1 = -I(G).  All
     these points go through one table call.  The switch atom gets the 1
-    back, so the masses still telescope to I(1) - I(0) = 1.
+    back, so the masses still telescope to I(1) - I(0) = 1.  A difference
+    of two rounded tail values can fall just below 0 (by up to 2.4e-291
+    where both are near 0); such masses are clipped to 0.
     """
     n = _check_n(n)
     if n == 0:
@@ -334,7 +337,7 @@ def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
     np.negative(tails, out=tails, where=far)
     masses = np.diff(tails, axis=-1)
     masses[switch] += 1.0
-    return masses
+    return np.maximum(masses, 0.0, out=masses)
 
 
 def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from .numerics import MAX_REPETITION_N, _check_n, _check_q  # noqa: F401
 from .sweep import (
     GridSpec,
     _check_m_list,
-    _grid_errors,
+    _screened_max,
     _sweep_means,
     default_grid,
     normalized_constant,
@@ -127,7 +127,8 @@ def check_repetition_theorem(
     The e*M column staying bounded while the n = 0 column grows at its
     M^(1-1/q) (or ln M) rate is the property the acceptance suite
     asserts; the absolute constant is reported, not asserted, because no
-    closed-form value for it is available.
+    closed-form value for it is available.  Each column is a screened
+    sweep's maximum (sweep._screened_max), equal to a pass over every mean.
     """
     _check_q(q)
     _check_m_list(M_list)
@@ -135,9 +136,9 @@ def check_repetition_theorem(
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid
     rows = []
     for M in M_list:
-        # both columns from one block-kernel pass per block of means
         means = _sweep_means(M, grid, True)[1]
-        worst_base, worst_rep = _grid_errors(M, q, means, (0, n)).max(axis=1).tolist()
+        worst_base = float(_screened_max(M, q, means, 0)[1])
+        worst_rep = float(_screened_max(M, q, means, n)[1])
         rows.append(
             RepetitionRow(
                 M,

@@ -275,4 +275,4 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     mean = float(np.dot(rhos, devs))
     devs -= mean
     devs *= devs  # two passes: E[X^2] - E[X]^2 cancels when X is concentrated
-    return math.sqrt(max(float(np.dot(rhos, devs)), 0.0) / runs)
+    return math.sqrt(float(np.dot(rhos, devs)) / runs)

@@ -19,15 +19,23 @@ step when boosted, so a block's errors come out as one-mean calls
 (local_avg_error, local_sup_error, repetition_error) would give them.
 The block size is fixed; it bounds the pass's temporaries, not the result.
 
-An unboosted sweep screens its means first: an O(1) upper bound on each
-mean's error (_error_bounds) rules out the means that cannot reach the
-maximum, and the kernel runs on the rest only, with the same result as a
-pass over every mean.  The bound is exact at q = 2; at q = 1 it is the
-cotangent sum split at its zero, exact up to M = 6 and within 0.3% above;
-between them it is Hoelder's interpolation of the two, and above q = 2
-max(a, 1 - a) times the q = 2 value.  On the default grid the kernel sees
-2 to 52 of its 10^4 means at q = 1 and q = 2, and 4-27% at q = 1.5.
-Boosted sweeps run every mean: the median's error has no such bound.
+Every sweep screens its means first: an upper bound on each mean's error
+rules out the means that cannot reach the maximum, and the kernel runs on
+the rest only, with the same result as a pass over every mean.  The
+unboosted bound (_error_bounds) is O(1) per mean.  It is exact at q = 2;
+at q = 1 it is the cotangent sum split at its zero, exact up to M = 6 and
+within 0.3% above; between them it is Hoelder's interpolation of the two,
+and above q = 2 max(a, 1 - a) times the q = 2 value.  On the default grid
+the kernel sees 2 to 52 of its 10^4 means at q = 1 and q = 2, and 4-27%
+at q = 1.5.  The boosted bound (_median_error_bounds) reads the median's
+tails through the median polynomial, exact on 4 atoms each side of the
+mean and bounded in closed form beyond, from O(log M) columns per mean.
+At n = ceil(q) + 1 the kernel sees 1 to 3 of the repetition theorem's
+2000-odd means at M = 86 and 342, and at most 9 of the default grid's
+10^4 from M = 86 to 1366; at n = 1 it sees more (27-32% at q = 3), as
+the median's tails are heavier.  Where the boosted bound has more columns
+than the median step (M <= 29, but for 26 and 27) it saves no time, and
+the sweep runs every mean.
 
 Where errors tie mathematically, rounding picks the argmax.  At q = 2 the
 error is exactly |sin(pi s)| / sqrt(2 M), a function of s alone, so means
@@ -43,8 +51,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .distribution import _block_errors, _block_median_errors, _check_poles, _nearest_sines
+from .distribution import _block_errors, _block_median_errors, _check_poles, _folded_sines
+from .distribution import _index_tables, _nearest_sines
 from .model import MeanInstance, _block_angles
+from .numerics import _check_n, _median_cdf
 
 __all__ = [
     "GridSpec",
@@ -178,13 +188,9 @@ def worst_avg_error(
         include_sharpness = grid is None
     if grid is None:
         grid = default_grid()
+    n = 0 if n_reps == 0 else _check_n(n_reps)
     label, means = _sweep_means(M, grid, include_sharpness)
-    if n_reps == 0:
-        i, e = _screened_max(M, q, means)
-    else:
-        (errors,) = _grid_errors(M, q, means, (n_reps,))
-        i = int(np.argmax(errors))
-        e = errors[i]
+    i, e = _screened_max(M, q, means, n)
     ks, Ns = means[:2]
     return SweepResult(M, q, n_reps, float(e), int(ks[i]), int(Ns[i]), label)
 
@@ -212,54 +218,73 @@ def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):
     return label, (ks, Ns, a, *_block_angles(ks, Ns, a, M))
 
 
-def _grid_errors(M: int, q: float, means, reps) -> np.ndarray:
-    """Errors of the means (as _sweep_means gives them), one row per
-    repetition count in reps, all read off one block-kernel pass per block
-    of means (n = 0 takes the kernel's errors, n > 0 the median step on
-    its p)."""
+def _grid_errors(M: int, q: float, means, n: int) -> np.ndarray:
+    """Errors of the means (as _sweep_means gives them) under 2n+1 runs, one
+    block-kernel pass per block of means (n = 0 takes the kernel's errors,
+    n > 0 the median step on its p)."""
     ks, Ns, a, sigma, s, integral = means
     rows = max(1, BLOCK_ELEMENTS // M)
-    errors = np.empty((len(reps), len(ks)))
+    errors = np.empty(len(ks))
     for i in range(0, len(ks), rows):
         b = slice(i, i + rows)
         e, p, _, _ = _block_errors(
-            M, q if 0 in reps else None, sigma[b], s[b].tolist(), integral[b], ks[b], Ns[b]
+            M, None if n else q, sigma[b], s[b].tolist(), integral[b], ks[b], Ns[b]
         )
-        for r, n in enumerate(reps):
-            errors[r, b] = e if n == 0 else np.where(
-                integral[b], 0.0, _block_median_errors(p, a[b], q, n)
-            )
+        if n:
+            e = np.where(integral[b], 0.0, _block_median_errors(p, a[b], q, n))
+        errors[b] = e
     return errors
 
 
 # Relative slack of the screen: 10 x distribution._DRIFT_TOL, far above the
 # kernel's rounding and the renormalization it absorbs, so no kernel error
-# exceeds its bound times (1 + _SCREEN_MARGIN).
+# exceeds its bound times (1 + _SCREEN_MARGIN).  A median's tail moves by up
+# to n + 1 times the drift; on the default grid up to M = 10^4 the drift is
+# below 3e-15.
 _SCREEN_MARGIN = 1e-9
 
 
-def _screened_max(M: int, q: float, means) -> tuple[int, float]:
-    """Index and value of the largest unboosted error of the means, the
-    first in order at a tie, from the kernel on as few means as a bound
-    allows.
+def _screened_max(M: int, q: float, means, n: int) -> tuple[int, float]:
+    """Index and value of the largest error of the means under 2n+1 runs,
+    the first in order at a tie, from the kernel on as few means as a
+    bound allows.
 
-    The kernel first runs on the mean of largest bound U (_error_bounds),
-    whose error e is a lower bound on the maximum; then, in blocks and in
-    order, on every mean with U (1 + _SCREEN_MARGIN) >= e.  A skipped
-    mean's error is below e, so it can neither be nor tie the maximum,
-    and a row's kernel result does not depend on the rows sharing its
-    block: value, argmax and tie rule are those of the full pass.  The
-    pole guard still checks every mean, in O(1) each; the drift and
-    negativity checks run on every distribution the kernel builds, and a
-    skipped mean builds none.
+    The kernel first runs on the mean of largest bound U (_error_bounds
+    unboosted, _median_error_bounds boosted), whose error e is a lower
+    bound on the maximum; then, in blocks and in order, on every mean with
+    U (1 + _SCREEN_MARGIN) >= e.  A skipped mean's error is below e, so it
+    can neither be nor tie the maximum (the mirror means a and 1 - a of a
+    boosted tie are both kept), and a row's kernel result does not depend
+    on the rows sharing its block: value, argmax and tie rule are those of
+    the full pass.  The pole guard still checks every mean, in O(1) each;
+    the drift and negativity checks run on every distribution the kernel
+    builds, and a skipped mean builds none.
+
+    The boosted bound is evaluated in blocks of about BLOCK_ELEMENTS / 2
+    entries, which measured fastest.  A boosted row whose bound has more
+    columns than the median step's floor(M/2) + 1 runs the full pass:
+    measured on check_repetition_theorem's grid (2 cores, Python 3.11.7,
+    numpy 2.4.6), screening was slower at M = 6 and 14, level at M = 22
+    (14 columns against 12), and faster from M = 26 (14 against 14) on.
     """
     ks, Ns, a, sigma, s, integral = means
     _check_poles(M, _nearest_sines(M, sigma, integral), sigma, ks, Ns)
-    bound = _error_bounds(M, q, a, sigma, s, integral)
-    top = int(np.argmax(bound))
-    floor = _grid_errors(M, q, [x[top : top + 1] for x in means], (0,))[0, 0]
-    keep = np.flatnonzero(bound * (1.0 + _SCREEN_MARGIN) >= floor)
-    (errors,) = _grid_errors(M, q, [x[keep] for x in means], (0,))
+    columns = 2 * len(_bound_offsets(M)) if n else 0
+    if columns > M // 2 + 1:
+        keep = np.arange(len(ks))  # the bound would cost as much as the kernel
+    else:
+        if n:
+            rows = max(1, BLOCK_ELEMENTS // (2 * columns))
+            bound = np.concatenate([
+                _median_error_bounds(M, q, n, *(x[i : i + rows] for x in (a, sigma, s, integral)))
+                for i in range(0, len(ks), rows)
+            ])
+        else:
+            bound = _error_bounds(M, q, a, sigma, s, integral)
+        top = int(np.argmax(bound))
+        floor = _grid_errors(M, q, [x[top : top + 1] for x in means], n)[0]
+        keep = np.flatnonzero(bound * (1.0 + _SCREEN_MARGIN) >= floor)
+    errors = _grid_errors(M, q, [x[keep] for x in means], n)
     i = int(np.argmax(errors))
     return int(keep[i]), errors[i]
 
@@ -351,6 +376,107 @@ def _convex_side_bound(M: int, c, d, v, K) -> np.ndarray:
     for i, present in ((0, K > 0), (1, K > 1), (np.maximum(K - 1, 0), K > 2)):
         total += np.where(present, c + d / np.tan(h * (i + v)), 0.0)
     return total
+
+
+# Atoms on each side of a mean that the boosted bound keeps exact; its tail
+# blocks beyond them start at offsets that grow by a factor of 1.5.
+_WINDOW = 4
+
+
+def _bound_offsets(M: int) -> np.ndarray:
+    """Offsets from a mean's first atom on one side: the _WINDOW exact
+    atoms, then the tail breakpoints from _WINDOW on, up to floor(M/2)."""
+    out = list(range(_WINDOW))
+    o = _WINDOW
+    while o <= M // 2:
+        out.append(o)
+        o = math.ceil(1.5 * o)
+    return np.array(out)
+
+
+def _median_error_bounds(
+    M: int, q: float, n: int, a: np.ndarray, sigma: np.ndarray, s: np.ndarray, integral: np.ndarray
+) -> np.ndarray:
+    """Upper bounds U on the L_q errors of the median of 2n+1 runs at the
+    means a, from 2 len(_bound_offsets(M)) columns each, for every n >= 1
+    and q >= 1.
+
+    The folded outputs are alpha_i = sin^2(pi i/M), i = 0 .. R = M // 2,
+    increasing, and read from distribution._index_tables; the first above
+    a is alpha_i0, i0 = floor(sigma) + 1, and d_i = |alpha_i - a|^q.  With
+    G+(i) = P(X >= alpha_i), G-(i) = P(X <= alpha_i) for one run X, and B_n
+    the median polynomial (numerics._median_cdf), the median of 2n+1 runs
+    is >= alpha_i exactly when n+1 of them are, so P(med >= alpha_i) =
+    B_n(G+(i)).  Abel summation of e_n^q = sum_i m_i d_i over the median's
+    masses m_i then gives, exactly,
+
+        sum_{i >= i0} m_i d_i = sum_{i >= i0} (d_i - d_{i-1}) B_n(G+(i)),
+
+    with d_{i0-1} = 0, and the mirror sum over i < i0 with G-.  Every
+    difference is >= 0 and B_n increases, so upper bounds on G+ and G-
+    give one on e_n^q.
+      Window: the _WINDOW atoms on each side of a are exact, rho_i = w_i C
+    (csc^2 h(i - sigma) + csc^2 h(i + sigma)), with C = sin^2(pi s)/(2
+    M^2), h = pi/M and w_i = 2 except at i = 0 and i = M/2, where it is 1;
+    their sines are the kernel's folded ones.
+      Tails: G+(b) = C sum_{j=b..M-b} (csc^2 h(j - sigma) + csc^2 h(j +
+    sigma)) over unfolded outcomes, and G-(b) = 2 C sum_{j=-b..b} csc^2
+    h(j - sigma).  csc^2 is convex on each interval the sums run over, so
+    by Hermite-Hadamard each term is at most its mean over the cell of
+    width h around it, and the cells telescope: for b >= sigma + 1/2,
+    G+(b) <= C/h [cot h(b - sigma - 1/2) - cot h(M - b - sigma + 1/2) +
+    cot h(b + sigma - 1/2) - cot h(M - b + sigma + 1/2)], and since cot(pi
+    - x) = -cot x the two halves are equal, so G+(b) <= 2 C/h [cot h(b -
+    sigma - 1/2) + cot h(b + sigma - 1/2)].  For b <= sigma - 1/2, G-(b)
+    <= 2 C/h [cot h(sigma - b - 1/2) - cot h(sigma + b + 1/2)].  The tail
+    breakpoints sit at _bound_offsets beyond the window, more than 3.5 from
+    sigma, so no cotangent is near a pole; over each block [b_k, b_k+1),
+    G+(i) <= G+(b_k), and the block adds at most (d_{b_k+1 - 1} - d_{b_k -
+    1}) B_n(min(1, bound on G+(b_k))).  A window atom's tail is the exact
+    window atoms beyond it plus the first breakpoint's bound.
+      The bound is finite for every n and q.  Where every atom lies in
+    the windows it is exact up to rounding; elsewhere the Hermite-Hadamard
+    cells keep it above e_n by more than the kernel's rounding.  At the
+    theorem's n = ceil(q) + 1 it leaves 1-3 of the 2003 means of
+    check_repetition_theorem's grid to the kernel at M = 86 and 342.
+    Integral sigma: the error is exactly 0, and so is U.
+    """
+    R, W = M // 2, _WINDOW
+    h = math.pi / M
+    c = np.sin(np.pi * s) ** 2 / (2.0 * M * M)
+    sigma = np.where(integral, 0.5, sigma)  # finite columns; integral rows are 0 below
+    # arrays are (side, column, mean): each side's boundaries, right then
+    # left, are the atoms at the offsets from its first atom, i0 or i0 - 1,
+    # then an offset past its last atom
+    side = np.array([1, -1])[:, None, None]
+    first = np.floor(sigma).astype(np.int64) + (side > 0)
+    cols = first + side * np.append(_bound_offsets(M), M)[:, None]
+    valid = (cols >= 0) & (cols <= R)
+    i = np.clip(cols, 0, R)
+    # the exact window atoms, from the kernel's folded sines
+    near = i[:, :W].reshape(2 * W, -1)
+    f = _folded_sines(np.concatenate([near, -near % M]).T.astype(float), sigma, M).T
+    f *= f
+    csc2 = (1.0 / f[: 2 * W] + 1.0 / f[2 * W :]).reshape(2, W, -1)
+    w = np.where((i[:, :W] == 0) | (2 * i[:, :W] == M), 1.0, 2.0)
+    rho = w * c * csc2 * valid[:, :W]
+    # the tail bounds at the breakpoints; the second cotangent takes the
+    # clipped column, whose argument is not 0 past the side's end either
+    cot = 1.0 / np.tan(h * (side * (cols[:, W:-1] - sigma) - 0.5))
+    cot += 1.0 / np.tan(h * (side * (i[:, W:-1] + sigma) - 0.5))
+    tails = np.empty((2, cols.shape[1] - 1, len(sigma)))
+    tails[:, W:] = 2.0 / h * c * cot * valid[:, W:-1]
+    # a window atom's tail: the window atoms from it on, then the first bound
+    acc = tails[:, W] if tails.shape[1] > W else 0.0
+    for t in range(W - 1, -1, -1):
+        acc = acc + rho[:, t]
+        tails[:, t] = acc
+    # d at the last atom before each boundary past the first (the side's
+    # last atom at its end), differenced from d = 0 before its first atom
+    ends = np.clip(cols[:, 1:], -1, R + 1) - side
+    d = np.diff(np.abs(a - _index_tables(M)[2][ends]) ** q, axis=1, prepend=0.0)
+    total = np.einsum("ijk,ijk->k", d, _median_cdf(np.minimum(tails, 1.0), n))
+    return np.where(integral, 0.0, total ** (1.0 / q))
 
 
 def normalized_constant(M: int, q: float, worst_error: float) -> float:

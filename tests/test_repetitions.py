@@ -16,6 +16,7 @@ from qsum.distribution import (
 )
 from qsum.error_analysis import local_avg_error, local_sup_error
 from qsum.repetitions import (
+    REPS_GRID_COUNT,
     check_repetition_theorem,
     median_distribution,
     repetition_error,
@@ -358,10 +359,26 @@ class TestNearerTailMasses:
             assert abs(rhos.sum() - 1.0) <= 1e-13
             assert rhos.min() >= 0.0
 
+    def test_masses_not_negative(self):
+        # two rounded far-tail values differ by -2.4e-291 at three atoms of
+        # this mean; the masses are clipped at 0, and nothing else moves
+        inst = MeanInstance(193605, 221306, 1790)
+        base = distribution._mean_base(inst)
+        tails = distribution.median_cdf_table(base.points[0], 64)
+        np.negative(tails, out=tails, where=base.points[1])
+        raw = np.diff(tails, axis=-1)[0]
+        raw[base.points[2][0]] += 1.0
+        assert np.flatnonzero(raw < 0.0).tolist() == [474, 475, 478]
+        masses = distribution._median_step(base.rhos, base.points, 64)[0]
+        assert np.array_equal(masses, np.maximum(raw, 0.0))
+        rhos = median_distribution(collapse_outputs(base.d), 64).rhos
+        assert rhos.min() == 0.0 and np.array_equal(rhos, masses)
+        assert exact_standard_error(inst, 1.0, 64, 10) > 0.0
+
 
 class TestTheoremOnePass:
-    """Both columns of the repetition theorem come from one block-kernel
-    pass per block, equal to the two sweeps they replace."""
+    """Both columns of the repetition theorem, each from a screened sweep,
+    equal to the two sweeps they replace and to a pass over every mean."""
 
     GRID = default_grid(count=300)
 
@@ -374,7 +391,19 @@ class TestTheoremOnePass:
         assert row.worst_base_error == base.worst_error
         assert row.worst_rep_error == rep.worst_error
 
-    def test_one_kernel_call_per_block(self, monkeypatch):
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    @pytest.mark.parametrize("M", [6, 22, 86, 342])
+    def test_columns_equal_full_pass(self, q, M):
+        (row,) = check_repetition_theorem(q, [M], self.GRID)
+        means = sweep._sweep_means(M, self.GRID, True)[1]
+        assert row.worst_base_error == sweep._grid_errors(M, q, means, 0).max()
+        assert row.worst_rep_error == sweep._grid_errors(M, q, means, row.n).max()
+
+    def test_kernel_sees_few_means(self, monkeypatch):
+        # on the theorem's default grid of about 2000 means, as measured:
+        # a few means per column at M = 86 and 342; at M = 22 the bound has
+        # more columns than the median step, so the boosted column runs
+        # every mean
         calls = []
         kernel = sweep._block_errors
 
@@ -383,8 +412,11 @@ class TestTheoremOnePass:
             return kernel(*args)
 
         monkeypatch.setattr(sweep, "_block_errors", counted)
-        M = 86
-        check_repetition_theorem(2.0, [M], self.GRID)
-        means = len(self.GRID.ks) + len(sweep.sharpness_instances(M))
-        assert sum(calls) == means
-        assert len(calls) == -(-means // max(1, sweep.BLOCK_ELEMENTS // M))
+        means = REPS_GRID_COUNT + 1
+        cases = ((1.0, 86, 8), (2.0, 86, 8), (1.0, 342, 8), (2.0, 342, 8), (2.0, 22, means + 8))
+        for q, M, most in cases:
+            calls.clear()
+            check_repetition_theorem(q, [M])
+            assert sum(calls) <= most, (q, M, sum(calls))
+            if M == 22:
+                assert sum(calls) >= means

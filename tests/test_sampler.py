@@ -251,22 +251,32 @@ def _uniforms_of(z):
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
-# every bin edge of a guide table with up to 2^16 bins
-_BIN_EDGES = np.arange(2**16) / 2**16
+def _outputs_around(edges):
+    """Stream outputs around each edge uniform: the 53-bit values at, just
+    below and just above it, each with the 11 low bits that the uniform
+    drops all zero and all ones."""
+    m = np.floor(edges * 2.0**53).astype(np.int64)  # exact: a power-of-two scale
+    m = np.concatenate((m - 1, m, m + 1))
+    top = np.unique(m[(m >= 0) & (m < 2**53)]).astype(np.uint64) << np.uint64(11)
+    return np.concatenate((top, top | np.uint64(2**11 - 1)))
+
+
+# The outputs that do not depend on p, built once: around u = 0, the
+# largest uniform 1 - 2^-53 and every bin edge of a guide table with up to
+# 2^16 bins; then a spread of stream outputs.
+_FIXED_OUTPUTS = np.concatenate((
+    _outputs_around(np.concatenate(([0.0, 1.0 - 2.0**-53], np.arange(2**16) / 2**16))),
+    splitmix64(5, 20_000),
+))
 
 
 def _edge_outputs(p):
     """Stream outputs around each edge uniform (u = 0, the largest uniform
-    1 - 2^-53, every CDF step, every bin edge): the 53-bit values at, just
-    below and just above it, each with the 11 low bits that the uniform
-    drops all zero and all ones; then a spread of stream outputs."""
+    1 - 2^-53, every CDF step, every bin edge), then a spread of stream
+    outputs."""
     cum = np.cumsum(p)
     cum[-1] = 1.0
-    edges = np.concatenate(([0.0, 1.0 - 2.0**-53], cum, _BIN_EDGES))
-    m = np.floor(edges * 2.0**53).astype(np.int64)  # exact: a power-of-two scale
-    m = np.concatenate((m - 1, m, m + 1))
-    top = np.unique(m[(m >= 0) & (m < 2**53)]).astype(np.uint64) << np.uint64(11)
-    return np.concatenate((top, top | np.uint64(2**11 - 1), splitmix64(5, 20_000)))
+    return np.concatenate((_outputs_around(cum), _FIXED_OUTPUTS))
 
 
 def _guide_draws(p, z):

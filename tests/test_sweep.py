@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from qsum import model, sweep
-from qsum.distribution import _block_errors, collapse_outputs, outcome_distribution
+from qsum.distribution import (
+    _block_errors,
+    _block_median_errors,
+    collapse_outputs,
+    outcome_distribution,
+)
 from qsum.errors import ConsistencyError, DomainError
 from qsum.model import MeanInstance, _block_angles, derive_angles
 from qsum.error_analysis import L1_SLACK_CONSTANT, local_avg_error
@@ -357,6 +362,104 @@ class TestErrorBounds:
                 assert u[-1] == pytest.approx(1.0 / M, rel=1e-14)
 
 
+class TestMedianErrorBounds:
+    """The boosted screen's per-mean bound U against the kernel's e_n."""
+
+    N = 2**52
+    NS = (1, 2, 3, 8, 64)
+    QS = (1.0, 1.5, 2.0, 3.0)
+    MS = [3, 4, 5, 6, 7, 8, 9, 22, 23, 86, 342, 1053, 4097, 10**4] + np.random.default_rng(
+        12
+    ).integers(10, 10**4, 3).tolist()
+
+    def means(self, M):
+        ks = set(TestErrorBounds.means(self, M))
+        # half-integral sigma, where the worst cases sit
+        half = [m + 0.5 for m in (0, 1, M // 5, M // 3, M // 2 - 1) if m + 0.5 < M / 2]
+        ks |= {round(math.sin(math.pi * x / M) ** 2 * self.N) for x in half}
+        return sorted(ks)
+
+    @pytest.mark.parametrize("M", MS)
+    def test_kernel_within_bound(self, M):
+        ks = self.means(M)
+        Ns = [self.N] * len(ks)
+        a = np.array(ks) / self.N
+        sigma, s, integral = _block_angles(ks, Ns, a, M)
+        near = np.abs(sigma - np.round(sigma)) < 1e-8
+        assert integral.any() and (near & ~integral).sum() >= 2
+        # the kernel pass and its median step, as a boosted sweep takes them
+        p = _block_errors(M, None, sigma, s, integral, ks, Ns)[1]
+        for q in self.QS:
+            for n in self.NS:
+                e = np.where(integral, 0.0, _block_median_errors(p, a, q, n))
+                with warnings.catch_warnings():  # integral rows and both ends included
+                    warnings.simplefilter("error", RuntimeWarning)
+                    u = sweep._median_error_bounds(M, q, n, a, sigma, s, integral)
+                assert (e <= u * (1.0 + sweep._SCREEN_MARGIN)).all(), (q, n)
+                assert (u[integral] == 0.0).all()
+                # exact where every atom is in the windows (M <= 7), and
+                # where the median sits on the atom next to sigma: there e_n
+                # is |alpha - a| at the table's output, to rounding
+                exact = ~integral & ((M <= 7) | (near & (n == 64)))
+                np.testing.assert_allclose(u[exact], e[exact], rtol=1e-12, atol=0.0)
+
+    def test_offsets(self):
+        # the window, then breakpoints growing by 1.5 up to floor(M/2)
+        assert sweep._bound_offsets(6).tolist() == [0, 1, 2, 3]
+        assert sweep._bound_offsets(86).tolist() == [0, 1, 2, 3, 4, 6, 9, 14, 21, 32]
+
+
+class TestBoostedScreen:
+    """The screened boosted sweep against a kernel pass over every mean:
+    value, argmax and tie bit for bit."""
+
+    GRID = default_grid(count=300)
+
+    @staticmethod
+    def full_pass(M, q, n, grid, sharp):
+        """Argmax k, N and value of a plain pass over every mean."""
+        means = sweep._sweep_means(M, grid, sharp)[1]
+        errors = sweep._grid_errors(M, q, means, n)
+        i = int(np.argmax(errors))
+        return errors[i], int(means[0][i]), int(means[1][i])
+
+    @pytest.mark.parametrize("M, sharp", [(26, True), (40, False), (86, True), (86, False), (342, True)])
+    def test_equals_full_pass(self, M, sharp, monkeypatch):
+        monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", 2**12)  # several blocks
+        for q in (1.0, 1.5, 2.0, 3.0):
+            for n in (1, 2, 3, 8, 64):
+                r = worst_avg_error(M, q, self.GRID, n_reps=n, include_sharpness=sharp)
+                want = self.full_pass(M, q, n, self.GRID, sharp)
+                assert (r.worst_error, r.argmax_k, r.argmax_N) == want, (q, n)
+
+    @pytest.mark.parametrize("q, n", [(1.0, 1), (1.0, 3), (2.0, 1), (2.0, 3)])
+    def test_mirror_tie(self, q, n, monkeypatch):
+        # the mirror means 522535 and 526041 on 2^20 tie at M = 22, to the
+        # bit or within one ulp; a bound with one tail block screens there,
+        # and both are kept, so rounding picks the argmax as in a full pass
+        monkeypatch.setattr(sweep, "_bound_offsets", lambda M: np.arange(5))
+        want = self.full_pass(22, q, n, self.GRID, False)
+        assert want[1] in (522535, 526041)
+        means = sweep._sweep_means(22, self.GRID, False)[1]
+        tie = sweep._grid_errors(22, q, means, n)[np.isin(means[0], (522535, 526041))]
+        assert abs(tie[0] - tie[1]) <= math.ulp(tie[0])
+        calls = _counted_kernel(monkeypatch)
+        r = worst_avg_error(22, q, self.GRID, n_reps=n)
+        assert (r.worst_error, r.argmax_k, r.argmax_N) == want
+        assert sum(calls) < len(self.GRID.ks) // 10  # screened, not a full pass
+
+    @pytest.mark.parametrize("n_reps", [1.5, True, 65, -1])
+    def test_n_checked_before_screening(self, n_reps, monkeypatch):
+        def bound(*args):
+            raise AssertionError("screened an invalid n")
+
+        monkeypatch.setattr(sweep, "_median_error_bounds", bound)
+        calls = _counted_kernel(monkeypatch)
+        with pytest.raises(DomainError):
+            worst_avg_error(86, 2.0, self.GRID, n_reps=n_reps)
+        assert calls == []
+
+
 def _even_q_error(inst: MeanInstance, q: int) -> float:
     """The local L_q error at even q < M in closed form: e_q^q =
     sin^2(pi s) G_q(theta) / M, with G_q = -4 sum_{r=1..q} r f_r cos(2 r
@@ -478,9 +581,10 @@ class TestScreen:
         with pytest.raises(ConsistencyError) as full:
             _kernel_errors(M, 1.0, grid.ks, [N] * 4)
         calls = _counted_kernel(monkeypatch)
-        with pytest.raises(ConsistencyError) as screened:
-            worst_avg_error(M, 1.0, grid)
-        assert str(screened.value) == str(full.value)
+        for n in (0, 2):  # unboosted and boosted screens
+            with pytest.raises(ConsistencyError) as screened:
+                worst_avg_error(M, 1.0, grid, n_reps=n)
+            assert str(screened.value) == str(full.value)
         assert f"k={k_pole}," in str(full.value) and calls == []
 
     def test_kernel_sees_few_means(self, monkeypatch):
