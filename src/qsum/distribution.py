@@ -16,9 +16,12 @@ atom boundaries read from their nearer tails, which do not depend on n,
 and _median_step, the median polynomial at those points.  Sweeps run both
 per block.  The one-mean boosted functions share a memo, _mean_base, of
 the 4 most recent means' outcome distributions, folded atoms and median
-points, so repeated calls on one mean build them once; its entries are
-read-only arrays, safe to share across threads, and at most 4 of them,
-O(M) memory each, are kept.
+points, and of each n's median masses once asked for, so repeated calls
+on one mean build them once: a (mean, n) costs one table call, and each
+further q only its L_q sum.  Its entries are read-only arrays, safe to
+share across threads, and at most 4 of them are kept, each O(M) memory
+for its base plus at most MAX_REPETITION_N arrays of M//2 + 1 floats
+(8 B each) for the masses.
 """
 
 from __future__ import annotations
@@ -147,24 +150,41 @@ def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _MeanBase(NamedTuple):
-    """The n-independent half of one mean's boosted errors, read-only."""
+    """The n-independent half of one mean's boosted errors, read-only,
+    with the median masses of each n asked for so far (see _base_masses)."""
 
     d: OutcomeDistribution
     rhos: np.ndarray  # folded atoms, one row
     points: tuple  # their _median_points
+    masses: dict  # n -> read-only median masses, one row
 
 
 @functools.lru_cache(maxsize=4)
 def _mean_base(inst: MeanInstance) -> _MeanBase:
     """One mean's checked outcome distribution, folded atoms and median
     points, kept for the 4 most recent means: a curve over n and q of one
-    mean, or a Monte Carlo cross-check of it, builds them once."""
+    mean, or a Monte Carlo cross-check of it, builds them once.  Each
+    entry also keeps the median masses of the n values asked for, at most
+    MAX_REPETITION_N rows of M//2 + 1 floats, freed with the entry."""
     d = outcome_distribution(inst)
     rhos = _fold_atoms(d.p[None])
     points = _median_points(rhos)
     for arr in (rhos, *points):
         arr.flags.writeable = False
-    return _MeanBase(d, rhos, points)
+    return _MeanBase(d, rhos, points, {0: rhos})
+
+
+def _base_masses(base: _MeanBase, n: int) -> np.ndarray:
+    """The median masses of 2n+1 draws (one row, read-only) of a memoized
+    mean, for an n already checked: one table call on the first ask of
+    each n, none after.  n = 0 is the folded atoms themselves.  Threads
+    that race on a new n compute the same bits; the first to store wins."""
+    masses = base.masses.get(n)
+    if masses is None:
+        masses = _median_step(base.rhos, base.points, n)
+        masses.flags.writeable = False
+        masses = base.masses.setdefault(n, masses)
+    return masses
 
 
 def _folded_sines(j: np.ndarray, sigma: np.ndarray, M: int | None = None) -> np.ndarray:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutcomeDistribution, _index_tables, _mean_base, _median_step
+from .distribution import OutcomeDistribution, _base_masses, _index_tables, _mean_base
 from .model import MeanInstance
 from .numerics import _check_count, _check_n, _check_q, _check_seed
 
@@ -94,10 +94,11 @@ _BIN_SHIFT = np.uint64(65 - _BINS.bit_length())
 class SampleRun:
     """Empirical L_q error with its Monte Carlo uncertainty.
 
-    empirical_error_q is the q-th root of the sample mean of
-    |a - median|^q; standard_error is the standard error of that mean
-    (before the root), the scale on which exact and empirical values are
-    compared.
+    draws counts the simulated medians (the runs), each of 2n+1 outcome
+    draws, so 2n+1 times as many outcomes were drawn.  empirical_error_q
+    is the q-th root of the sample mean of |a - median|^q; standard_error
+    is the standard error of that mean (before the root), the scale on
+    which exact and empirical values are compared.
     """
 
     seed: int
@@ -262,7 +263,9 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     The comparison scale for cross-checks: a run whose draws never hit a
     rare atom reports a sample standard error of zero, and this exact
     value takes over there.  It is exactly 0 on the integral-sigma branch,
-    where every median is the mean itself.
+    where every median is the mean itself.  The median masses come from
+    the one-mean memo (distribution._base_masses), shared with
+    repetition_error.
     """
     _check_q(q)
     n = _check_n(n)
@@ -270,7 +273,7 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
         return 0.0
-    rhos = _median_step(base.rhos, base.points, n)[0]
+    rhos = _base_masses(base, n)[0]
     devs = np.abs(inst.a - _index_tables(inst.M)[2]) ** q
     mean = float(np.dot(rhos, devs))
     devs -= mean

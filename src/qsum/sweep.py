@@ -45,6 +45,7 @@ tie.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,6 +119,7 @@ class AsymptoticRow(SweepResult):
     normalized_constant: float
 
 
+@functools.lru_cache(maxsize=4, typed=True)
 def default_grid(
     N: int = DEFAULT_GRID_N, count: int = DEFAULT_GRID_COUNT, dense: bool = False
 ) -> GridSpec:
@@ -125,7 +127,9 @@ def default_grid(
 
     Always includes k in {0, 1, N-1, N} (the extreme means that the
     supremum-error constructions need).  dense sweeps every k; keep N
-    small for that.
+    small for that.  The grid is frozen, so the 4 most recent are kept
+    and shared: a sweep per M with no grid, or a repetition-theorem row
+    per M, builds its grid once.
     """
     if N < 2:
         raise DomainError(f"grid N must be at least 2, got {N}")

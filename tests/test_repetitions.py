@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -277,6 +279,77 @@ class TestMeanBaseMemo:
                 with pytest.raises(ValueError):
                     arr[...] = 0
         assert distribution._mean_base.cache_info().misses == len(means)
+
+    @staticmethod
+    def count_tables(monkeypatch) -> list[int]:
+        """The n of every median table call from here on."""
+        calls = []
+        table = distribution.median_cdf_table
+
+        def counted(points, n):
+            calls.append(n)
+            return table(points, n)
+
+        monkeypatch.setattr(distribution, "median_cdf_table", counted)
+        return calls
+
+    def test_curve_one_table_call_per_n(self, monkeypatch):
+        calls = self.count_tables(monkeypatch)
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(84667, 329873, 1366)
+        for q in self.QS:
+            for n in self.NS:
+                repetition_error(inst, q, n)
+        assert calls == [n for n in self.NS if n >= 1]
+
+    def test_standard_error_after_curve_no_table_call(self, monkeypatch):
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(3, 7, 13)
+        for n in self.NS:
+            repetition_error(inst, 2.0, n)
+        calls = self.count_tables(monkeypatch)
+        for q in self.QS:
+            for n in self.NS:
+                exact_standard_error(inst, q, n, 1000)
+        assert calls == []
+
+    def test_masses_read_only(self):
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(84667, 329873, 1366)
+        for n in self.NS:
+            repetition_error(inst, 1.0, n)
+        masses = distribution._mean_base(inst).masses
+        assert sorted(masses) == sorted(self.NS)
+        for arr in masses.values():
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+    def test_threads_share_memo_bits(self):
+        means = [m for m in self.means() if m.M in (22, 1366)][:10]
+        qs = (1.0, 2.0)
+        distribution._mean_base.cache_clear()
+        want = [
+            (repetition_error(inst, q, n).hex(), exact_standard_error(inst, q, n, 1000).hex())
+            for inst in means for n in self.NS for q in qs
+        ]
+
+        def both(args):
+            inst, n, q = args
+            return repetition_error(inst, q, n).hex(), exact_standard_error(inst, q, n, 1000).hex()
+
+        distribution._mean_base.cache_clear()
+        # mean-major, so the workers race on the same entries and the same
+        # n; a short switch interval lets them interleave inside a call
+        jobs = [(inst, n, q) for inst in means for n in self.NS for q in qs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(both, jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestRepetitionTheorem:

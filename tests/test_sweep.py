@@ -148,6 +148,24 @@ class TestWorstAvgError:
             GridSpec(8, (), "empty")
 
 
+class TestDefaultGridMemo:
+    def test_built_once_per_arguments(self):
+        sweep.default_grid.cache_clear()
+        for _ in range(3):
+            check_repetition_theorem(2.0, [6, 22])
+        info = sweep.default_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        assert default_grid(count=REPS_GRID_COUNT) is default_grid(count=REPS_GRID_COUNT)
+
+    def test_same_grid_as_unmemoized(self):
+        build = sweep.default_grid.__wrapped__
+        for args in ((), (4096, 64), (2**20, 2000), (10, 50, True)):
+            assert default_grid(*args) == build(*args)
+        # an int64 N keeps its type rather than sharing the int N's entry
+        assert type(default_grid(np.int64(4096), 64).N) is np.int64
+        assert type(default_grid(4096, 64).N) is int
+
+
 class TestGridLimit:
     @pytest.mark.parametrize("N", [2**53 + 1, 2**64 - 1, 2**70])
     def test_grid_n_above_2_53_is_a_domain_error(self, N):
