@@ -1,13 +1,12 @@
 """Exact distributions and L_q error analysis for the amplitude-estimation
 Boolean mean estimator, with median-of-repetitions boosting."""
 
-from .errors import ConsistencyError, ConvergenceError, DomainError, QsumError
+from .errors import ConsistencyError, DomainError, QsumError
 from .model import AngleSet, MeanInstance, derive_angles, random_instances
 from .numerics import (
     QuadratureResult,
     integrate_adaptive,
     log_gamma,
-    rectangle_rule,
     regularized_incomplete_beta,
     sin_power_integral,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "QsumError",
     "DomainError",
     "ConsistencyError",
-    "ConvergenceError",
     "MeanInstance",
     "AngleSet",
     "derive_angles",
@@ -48,7 +46,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "sin_power_integral",
     "integrate_adaptive",
-    "rectangle_rule",
     "OutcomeDistribution",
     "OutputDistribution",
     "outcome_distribution",

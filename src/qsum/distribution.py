@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import INTEGER_TOL, AngleSet, MeanInstance, derive_angles
-from .numerics import MAX_REPETITION_N, _check_n, median_cdf_table  # noqa: F401
+from .numerics import MAX_REPETITION_N, _check_int, _check_n, median_cdf_table  # noqa: F401
 
 __all__ = [
     "OutcomeDistribution",
@@ -129,11 +129,9 @@ def output_value(j: int, M: int) -> float:
     The first call at an M builds that table, O(M) time and memory (8 B
     per index up to M/2), kept for the 16 most recent M.
     """
-    if M < 1:
+    if _check_int(M, "M") < 1:
         raise DomainError(f"M must be positive, got {M}")
-    if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-        raise DomainError(f"index must be an integer, got {j!r}")
-    if not 0 <= j < M:
+    if not 0 <= _check_int(j, "index") < M:
         raise DomainError(f"index j={j} out of range for M={M}")
     return float(_index_tables(M)[2][min(j, M - j)])
 
@@ -382,7 +380,7 @@ def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.n
 def exact_error(inst: MeanInstance, j: int) -> float:
     """|a - output(j)| via the product form |sin(pi(j-sigma)/M) sin(pi(j+sigma)/M)|."""
     M = inst.M
-    if not 0 <= j < M:
+    if not 0 <= _check_int(j, "index") < M:
         raise DomainError(f"index j={j} out of range for M={M}")
     return float(error_vector(inst, derive_angles(inst))[j])
 
@@ -434,9 +432,8 @@ def event_probability(d: OutcomeDistribution, indices: Iterable[int]) -> float:
     """Total outcome probability of a set of indices."""
     idx = set()
     for j in indices:
-        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
-            raise DomainError(f"indices must be integers, got {j!r}")
+        j = _check_int(j, "index")
         if not 0 <= j < d.M:
             raise DomainError(f"index {j} out of range for M={d.M}")
-        idx.add(int(j))
+        idx.add(j)
     return float(sum(d.p[j] for j in idx))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .distribution import _block_errors, _row
 from .errors import DomainError
-from .model import MeanInstance, derive_angles
+from .model import AngleSet, MeanInstance, derive_angles
 from .numerics import _check_q, _gauss_jacobi, sin_power_integral
 
 __all__ = [
@@ -87,6 +87,22 @@ def _report(
     )
 
 
+def _check_q_open(q: float) -> None:
+    """The exponent of the q > 1 main terms: q in (1, inf)."""
+    if not 1.0 < q < math.inf:
+        raise DomainError(f"q must lie in (1, inf), got {q!r}")
+
+
+def _nonintegral_angles(inst: MeanInstance, what: str = "bound") -> AngleSet:
+    """The angles of an instance whose sigma is not integral: the one
+    precondition of cot_sum, of the bound checks that need s > 0 and of
+    the q > 1 main term, raised as "<what> requires nonintegral sigma"."""
+    ang = derive_angles(inst)
+    if ang.sigma_is_integer:
+        raise DomainError(f"{what} requires nonintegral sigma")
+    return ang
+
+
 def local_avg_error(inst: MeanInstance, q: float) -> float:
     """L_q-average of |a - output| under the outcome distribution.
 
@@ -112,9 +128,7 @@ def cot_sum(inst: MeanInstance) -> float:
     Defined only off the integral-sigma branch (s = 0 would place a
     cotangent pole at j = 0).
     """
-    ang = derive_angles(inst)
-    if ang.sigma_is_integer:
-        raise DomainError("cot_sum is undefined when sigma is integral")
+    ang = _nonintegral_angles(inst, "cot_sum")
     M = inst.M
     # |cot(pi y/M)| is symmetric under y -> M - y; folding keeps the
     # near-pole terms at small sine arguments, where they are accurate.
@@ -130,9 +144,7 @@ def check_l1_cot_sum_bound(inst: MeanInstance) -> BoundReport:
     |e_1 - sin^2(pi s) sin(2 theta) cot_sum / M| is bounded by
     sin^2(pi s) |cos(2 theta)| / M.
     """
-    ang = derive_angles(inst)
-    if ang.sigma_is_integer:
-        raise DomainError("bound requires nonintegral sigma")
+    ang = _nonintegral_angles(inst)
     M = inst.M
     sin2 = math.sin(math.pi * ang.s) ** 2
     observed = local_avg_error(inst, 1.0)
@@ -158,9 +170,7 @@ def check_cot_sum_rectangle_bound(inst: MeanInstance) -> BoundReport:
     """
     if inst.M < 3:
         raise DomainError(f"bound requires M >= 3, got M={inst.M}")
-    ang = derive_angles(inst)
-    if ang.sigma_is_integer:
-        raise DomainError("bound requires nonintegral sigma")
+    ang = _nonintegral_angles(inst)
     M, s = inst.M, ang.s
     observed = cot_sum(inst)
     lower_limit = math.pi * (1.0 + s) / M
@@ -276,11 +286,8 @@ def check_lq_integral_bound(inst: MeanInstance, q: float) -> BoundReport:
     with d = 1 exactly when q == 2 (a deliberately exact float test: any
     other q takes the looser branch).
     """
-    if math.isnan(q) or not 1.0 < q < math.inf:
-        raise DomainError(f"q must lie in (1, inf), got {q!r}")
-    ang = derive_angles(inst)
-    if ang.sigma_is_integer:
-        raise DomainError("bound requires nonintegral sigma")
+    _check_q_open(q)
+    ang = _nonintegral_angles(inst)
     M = inst.M
     observed = local_avg_error(inst, q) ** q
     sin_pi_s = math.sin(math.pi * ang.s)
@@ -319,8 +326,7 @@ def full_lq_integral(theta: float, q: float) -> float:
     Folded about pi/2 so both integrable sin^(q-2) blowups (q < 2) sit at
     an integration limit of exactly 0.
     """
-    if math.isnan(q) or not 1.0 < q < math.inf:
-        raise DomainError(f"q must lie in (1, inf), got {q!r}")
+    _check_q_open(q)
     return _half_lq_integral(theta, q, 0.0) + _half_lq_integral(-theta, q, 0.0)
 
 
@@ -333,11 +339,8 @@ def lq_asymptotic_main_term(inst: MeanInstance, q: float) -> float:
     The ratio to local_avg_error tends to 1 as M grows at fixed mean with
     s bounded away from 0.
     """
-    if math.isnan(q) or not 1.0 < q < math.inf:
-        raise DomainError(f"q must lie in (1, inf), got {q!r}")
-    ang = derive_angles(inst)
-    if ang.sigma_is_integer:
-        raise DomainError("main term requires nonintegral sigma")
+    _check_q_open(q)
+    ang = _nonintegral_angles(inst, "main term")
     integral = full_lq_integral(ang.theta, q)
     sin2 = math.sin(math.pi * ang.s) ** 2
     return (sin2 / math.pi * integral) ** (1.0 / q) / inst.M ** (1.0 / q)

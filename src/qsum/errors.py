@@ -11,7 +11,3 @@ class DomainError(QsumError, ValueError):
 
 class ConsistencyError(QsumError):
     """An internal invariant failed (normalization drift, near-pole term)."""
-
-
-class ConvergenceError(QsumError):
-    """A quadrature did not reach the requested tolerance within budget."""

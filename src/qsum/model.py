@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _check_count, _check_int
 
 __all__ = ["MeanInstance", "AngleSet", "derive_angles", "random_instances"]
 
@@ -37,10 +38,7 @@ class MeanInstance:
 
     def __post_init__(self) -> None:
         for name in ("k", "N", "M"):
-            v = getattr(self, name)
-            if isinstance(v, (bool, float)) or not isinstance(v, (int, np.integer)):
-                raise DomainError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _check_int(getattr(self, name), name))
         if self.N < 1:
             raise DomainError(f"N must be positive, got {self.N}")
         if not 0 <= self.k <= self.N:
@@ -154,9 +152,9 @@ def random_instances(
     With require_noninteger, instances whose sigma is (near-)integral are
     rejected and redrawn, since several bound evaluators exclude them.
     """
-    if count < 0:
-        raise DomainError(f"count must be nonnegative, got {count}")
-    m_lo, m_hi = m_range
+    count = _check_count(count, "count", least=0)
+    m_lo, m_hi = (_check_int(m, "m_range bound") for m in m_range)
+    n_max = _check_int(n_max, "n_max")
     if not (1 <= m_lo <= m_hi and m_hi < n_max):
         raise DomainError(f"invalid m_range {m_range!r} for n_max {n_max}")
     out: list[MeanInstance] = []

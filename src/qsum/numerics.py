@@ -29,7 +29,6 @@ __all__ = [
     "regularized_incomplete_beta",
     "sin_power_integral",
     "integrate_adaptive",
-    "rectangle_rule",
 ]
 
 
@@ -78,14 +77,20 @@ def _median_cdf(x: np.ndarray, n: int) -> np.ndarray:
 MAX_REPETITION_N = 64
 
 
+def _check_int(value, name: str) -> int:
+    """The one integer rule of every public integer argument: a Python or
+    numpy integer, not a bool (nor a float of integral value), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_n(n) -> int:
-    """The median polynomial's n: an integer (not a bool) in
-    [0, MAX_REPETITION_N]."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise DomainError(f"n must be an integer, got {n!r}")
+    """The median polynomial's n: an integer in [0, MAX_REPETITION_N]."""
+    n = _check_int(n, "n")
     if not 0 <= n <= MAX_REPETITION_N:
         raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
-    return int(n)
+    return n
 
 
 def _check_q(q: float) -> None:
@@ -95,21 +100,12 @@ def _check_q(q: float) -> None:
 
 
 def _check_count(value, name: str, least: int = 1) -> int:
-    """A count of draws or runs: an integer (not a bool), at least
-    `least`, which is 1, or 0 for a raw stream's length."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+    """A count of draws, runs or instances: an integer at least `least`,
+    which is 1, or 0 for a raw stream's length or an instance list."""
+    value = _check_int(value, name)
     if value < least:
         raise DomainError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
-    return int(value)
-
-
-def _check_seed(seed) -> int:
-    """A stream seed: an integer (not a bool) of any sign and size, read
-    modulo 2^64."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
-    return int(seed)
+    return value
 
 
 def regularized_incomplete_beta(x: float, n: int) -> float:
@@ -318,14 +314,3 @@ def _gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nda
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def rectangle_rule(f: Callable, a: float, b: float, k: int) -> float:
-    """Left-endpoint rectangle sum (b-a)/k * sum_{j<k} f(a + j (b-a)/k)."""
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a!r}, {b!r}]")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    h = (b - a) / k
-    nodes = a + h * np.arange(k)
-    return h * math.fsum(_vectorized(f, a, b)(nodes).tolist())

@@ -60,7 +60,7 @@ import numpy as np
 
 from .distribution import OutcomeDistribution, _base_masses, _index_tables, _mean_base
 from .model import MeanInstance
-from .numerics import _check_count, _check_n, _check_q, _check_seed
+from .numerics import _check_count, _check_int, _check_n, _check_q
 
 __all__ = [
     "SampleRun",
@@ -109,7 +109,7 @@ class SampleRun:
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64 for the given seed, as uint64."""
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed")
     count = _check_count(count, "count", least=0)
     z = _counters(count)
     z += _base(seed, 0)
@@ -210,7 +210,7 @@ def empirical_repetition_error(
     _check_q(q)
     n = _check_n(n)
     runs = _check_count(runs, "runs")
-    seed = _check_seed(seed)
+    seed = _check_int(seed, "seed")
     d = _mean_base(inst).d
     width = 2 * n + 1
     j = np.arange(d.M)

@@ -55,7 +55,7 @@ from .errors import DomainError
 from .distribution import _block_errors, _block_median_errors, _check_poles, _folded_sines
 from .distribution import _index_tables, _nearest_sines
 from .model import MeanInstance, _block_angles
-from .numerics import _check_n, _median_cdf
+from .numerics import _check_int, _check_n, _median_cdf
 
 __all__ = [
     "GridSpec",
@@ -87,9 +87,7 @@ class GridSpec:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)):
-            raise DomainError(f"grid N must be an integer, got {self.N!r}")
-        if self.N < 1 or not self.ks:
+        if _check_int(self.N, "grid N") < 1 or not self.ks:
             raise DomainError("grid must have N >= 1 and at least one k")
         if self.N > MAX_GRID_N:
             raise DomainError(f"grid N must be at most 2^53, got {self.N}")
@@ -131,14 +129,14 @@ def default_grid(
     and shared: a sweep per M with no grid, or a repetition-theorem row
     per M, builds its grid once.
     """
-    if N < 2:
+    if _check_int(N, "grid N") < 2:
         raise DomainError(f"grid N must be at least 2, got {N}")
     if N > MAX_GRID_N:
         raise DomainError(f"grid N must be at most 2^53, got {N}")
     if dense:
         ks = tuple(range(N + 1))
         return GridSpec(N, ks, f"k/{N} dense ({N + 1} points)")
-    if count < 2:
+    if _check_int(count, "grid count") < 2:
         raise DomainError(f"grid count must be at least 2, got {count}")
     # sorted and deduplicated by hand: np.unique imports numpy.ma
     ks = np.concatenate([np.linspace(0, N, count).round().astype(int), [0, 1, N - 1, N]])
@@ -182,7 +180,7 @@ def worst_avg_error(
     raises DomainError.  Ties in the maximum go to the smallest k (then
     smallest N), independent of evaluation order.
     """
-    if M < 3:
+    if _check_int(M, "M") < 3:
         raise DomainError(f"sweeps require M >= 3, got M={M}")
     if math.isnan(q) or q < 1.0:
         raise DomainError(f"q must lie in [1, inf], got {q!r}")
@@ -494,7 +492,7 @@ def normalized_constant(M: int, q: float, worst_error: float) -> float:
 
 
 def _check_m_list(M_list: list[int]) -> None:
-    if not M_list or any(m < 3 for m in M_list):
+    if not M_list or any(_check_int(m, "M") < 3 for m in M_list):
         raise DomainError("M_list must be nonempty with all M >= 3")
     if list(M_list) != sorted(set(M_list)):
         raise DomainError("M_list must be strictly increasing")

@@ -14,7 +14,6 @@ from qsum.numerics import (
     integrate_adaptive,
     log_gamma,
     median_cdf_table,
-    rectangle_rule,
     regularized_incomplete_beta,
     sin_power_integral,
 )
@@ -226,52 +225,6 @@ class TestGaussJacobiRule:
             for k in range(2 * n):
                 got = float(weights @ nodes**k)
                 assert abs(got - moments[k]) <= 1e-13 * moments[0], (n, k)
-
-
-class TestRectangleRule:
-    def test_constant(self):
-        assert rectangle_rule(lambda x: np.ones_like(x), 0.0, 1.0, 10) == pytest.approx(1.0)
-
-    def test_linear(self):
-        # arithmetic series: (0 + .25 + .5 + .75)/4
-        assert rectangle_rule(lambda x: x, 0.0, 1.0, 4) == pytest.approx(0.375, abs=1e-15)
-
-    def test_cot_within_derivative_bound(self):
-        # analytic value ln 2; the bound is (b-a)/k * integral |d cot| = pi/100 * 2
-        a, b, k = math.pi / 4, 3 * math.pi / 4, 100
-        got = rectangle_rule(lambda x: np.abs(np.cos(x) / np.sin(x)), a, b, k)
-        assert abs(got - math.log(2.0)) <= (b - a) / k * 2.0
-
-    def test_error_bound_random_smooth(self):
-        # |rect - integral| <= (b-a)/k * integral |f'| for 50 random smooth f
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            c = rng.normal(size=3)
-            ph = rng.uniform(0, 2 * math.pi, size=3)
-            w = rng.integers(1, 4, size=3)
-
-            def f(x):
-                return sum(ci * np.sin(wi * x + pi) for ci, wi, pi in zip(c, w, ph))
-
-            def fprime_abs(x):
-                return np.abs(
-                    sum(ci * wi * np.cos(wi * x + pi) for ci, wi, pi in zip(c, w, ph))
-                )
-
-            a = float(rng.uniform(-2.0, 1.0))
-            b = a + float(rng.uniform(0.5, 3.0))
-            k = int(rng.integers(5, 200))
-            exact = integrate_adaptive(f, a, b, 1e-11)
-            assert exact.converged
-            deriv_mass = integrate_adaptive(fprime_abs, a, b, 1e-6).value
-            rect = rectangle_rule(f, a, b, k)
-            assert abs(rect - exact.value) <= (b - a) / k * deriv_mass + 1e-9
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            rectangle_rule(lambda x: x, 1.0, 0.0, 4)
-        with pytest.raises(DomainError):
-            rectangle_rule(lambda x: x, 0.0, 1.0, 0)
 
 
 class TestQuadratureResultTypes:
