@@ -133,7 +133,7 @@ def check_repetition_theorem(
     sweep's maximum (sweep._screened_max), equal to a pass over every mean.
     """
     _check_q(q)
-    _check_m_list(M_list)
+    M_list = _check_m_list(M_list)
     n = math.ceil(q) + 1
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid
     rows = []

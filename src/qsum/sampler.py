@@ -32,7 +32,7 @@ sample_outcomes) at every M; past M = K up to every draw may fall back,
 which stays exact but saves nothing over the plain search.
 
 A median of 2n+1 draws is taken on folded ranks min(j, M - j), the
-labels of the median table, and then mapped to |a - alpha|^q through a
+labels of the median table, and its statistic |a - alpha|^q read from a
 table over the ranks.  Outputs alpha = sin^2(pi rank / M) are
 nondecreasing in the rank, and an order statistic commutes with a
 nondecreasing map, so this equals the median of the gathered outputs
@@ -44,11 +44,17 @@ rank is key[r w + n] & (2^bits - 1).  A run of one draw needs no sort.
 On the integral-sigma branch every draw hits the one support index,
 whose output is the mean itself.
 
+A run's statistic takes one of the M // 2 + 1 values of the rank table,
+so the runs reduce to how many medians took each rank.  The sample mean
+and the two-pass sample variance are then sums over ranks under the
+frequencies counts / runs, as exact_standard_error's are under the exact
+median masses; when every median took one rank, its frequency is exactly
+1 and the standard error exactly 0.
+
 Memory: runs are simulated in chunks of _CHUNK_RUNS, so the draw
-buffers do not grow with the run count (under 1 MB at 2n+1 = 7).  What
-grows is one float64 statistic per run, 8 B per run, kept so that the
-mean and standard error are the pairwise sums of ndarray.mean and
-ndarray.std, to the same bits at every chunk size.
+buffers do not grow with the run count (under 1 MB at 2n+1 = 7), and
+each chunk only adds its medians to the counts, 8 B per rank.  Nothing
+grows with runs.
 """
 
 from __future__ import annotations
@@ -212,16 +218,25 @@ def empirical_repetition_error(
     runs = _check_count(runs, "runs")
     seed = _check_int(seed, "seed")
     d = _mean_base(inst).d
-    width = 2 * n + 1
-    j = np.arange(d.M)
-    ranks = np.minimum(j, d.M - j)
     alphas = _index_tables(d.M)[2]
     if d.angles.sigma_is_integer:
         # The support point's output equals the mean exactly.
+        j = int(np.argmax(d.p))
         alphas = alphas.copy()
-        alphas[ranks[np.argmax(d.p)]] = inst.a
+        alphas[min(j, d.M - j)] = inst.a
     devs = np.abs(inst.a - alphas) ** q
+    mean, var = _rank_moments(_median_rank_counts(d, n, runs, seed) / runs, devs)
+    # the sample variance is var * runs / (runs - 1), over runs for the mean
+    se = math.sqrt(var / (runs - 1)) if runs > 1 else 0.0
+    return SampleRun(seed, runs, mean ** (1.0 / q), se)
 
+
+def _median_rank_counts(d: OutcomeDistribution, n: int, runs: int, seed: int) -> np.ndarray:
+    """How many of `runs` simulated medians of 2n+1 draws from d take each
+    folded rank 0 .. M // 2, as int64 (see the module docstring)."""
+    width = 2 * n + 1
+    j = np.arange(d.M)
+    ranks = np.minimum(j, d.M - j)
     # A chunk's draws are keys (run << bits) | rank over its runs run <
     # chunk: one sort puts each run's ranks in order in its own slot.
     chunk = min(_CHUNK_RUNS, runs)
@@ -234,7 +249,7 @@ def empirical_repetition_error(
     z, t = np.empty_like(offsets), np.empty_like(offsets)
 
     # runs r0 .. r0+c-1 read stream outputs r0*width .. (r0+c)*width - 1
-    stat = np.empty(runs)
+    counts = np.zeros(d.M // 2 + 1, dtype=np.int64)
     for r0 in range(0, runs, _CHUNK_RUNS):
         c = min(_CHUNK_RUNS, runs - r0)
         zc, tc = z[: c * width], t[: c * width]
@@ -244,16 +259,21 @@ def empirical_repetition_error(
             r |= runs_keys[: c * width]
             r.sort()
             r = r[n::width] & mask  # each run's (n+1)-th smallest rank
-        stat[r0 : r0 + c] = devs.take(r)
-    # ndarray.mean and .std(ddof=1), bit for bit, without std's full-size
-    # temporary: the same pairwise sums, then the deviations in place
-    mean = float(np.add.reduce(stat) / runs)
-    se = 0.0
-    if runs > 1:
-        stat -= mean
-        stat *= stat
-        se = math.sqrt(np.add.reduce(stat) / (runs - 1)) / math.sqrt(runs)
-    return SampleRun(seed, runs, mean ** (1.0 / q), se)
+        # some numpy versions' bincount refuses uint64 under safe casting;
+        # the masked ranks, below M // 2 + 1, fit intp
+        counts += np.bincount(r.astype(np.intp, copy=False), minlength=counts.size)
+    return counts
+
+
+def _rank_moments(weights: np.ndarray, devs: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the statistic devs over ranks under the
+    probability weights, the variance in two passes: E[X^2] - E[X]^2
+    cancels when the statistic is concentrated.  A weight of exactly 1 on
+    one rank gives that rank's value and a variance of exactly 0."""
+    mean = float(np.dot(weights, devs))
+    sq = devs - mean
+    sq *= sq
+    return mean, float(np.dot(weights, sq))
 
 
 def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> float:
@@ -273,9 +293,5 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
         return 0.0
-    rhos = _base_masses(base, n)[0]
     devs = np.abs(inst.a - _index_tables(inst.M)[2]) ** q
-    mean = float(np.dot(rhos, devs))
-    devs -= mean
-    devs *= devs  # two passes: E[X^2] - E[X]^2 cancels when X is concentrated
-    return math.sqrt(float(np.dot(rhos, devs)) / runs)
+    return math.sqrt(_rank_moments(_base_masses(base, n)[0], devs)[1] / runs)

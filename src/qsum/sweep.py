@@ -491,11 +491,15 @@ def normalized_constant(M: int, q: float, worst_error: float) -> float:
     return worst_error * M ** (1.0 / q)
 
 
-def _check_m_list(M_list: list[int]) -> None:
-    if not M_list or any(_check_int(m, "M") < 3 for m in M_list):
+def _check_m_list(M_list: list[int]) -> list[int]:
+    """The M values of a list, tuple or array as Python ints: nonempty,
+    each an integer of at least 3, strictly increasing."""
+    Ms = [_check_int(m, "M") for m in M_list]
+    if not Ms or min(Ms) < 3:
         raise DomainError("M_list must be nonempty with all M >= 3")
-    if list(M_list) != sorted(set(M_list)):
+    if Ms != sorted(set(Ms)):
         raise DomainError("M_list must be strictly increasing")
+    return Ms
 
 
 def asymptotic_table(
@@ -506,9 +510,8 @@ def asymptotic_table(
     n_reps: int = 0,
 ) -> list[AsymptoticRow]:
     """Sweep each M in an increasing list and normalize by the rate."""
-    _check_m_list(M_list)
     rows = []
-    for M in M_list:
+    for M in _check_m_list(M_list):
         r = worst_avg_error(M, q, grid, n_reps=n_reps)
         c = normalized_constant(M, q, r.worst_error)
         rows.append(AsymptoticRow(**vars(r), normalized_constant=c))

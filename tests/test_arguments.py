@@ -67,3 +67,28 @@ def test_integer_rule(argument, value):
 def test_numpy_integers_accepted(argument):
     # 6 is in range for every call above
     _ARGUMENTS[argument][1](np.int64(6))
+
+
+_M_LIST_CALLS = {
+    "asymptotic_table": lambda Ms: asymptotic_table(1.0, Ms, _GRID),
+    "check_repetition_theorem": lambda Ms: check_repetition_theorem(2.0, Ms, _GRID),
+}
+
+
+@pytest.mark.parametrize("Ms", [(6,), (6, 22)], ids=str)
+@pytest.mark.parametrize("name", list(_M_LIST_CALLS))
+def test_m_list_arrays(name, Ms):
+    # an array of M values gives the tuple's rows, with Python int M
+    want = _M_LIST_CALLS[name](Ms)
+    for array in (np.array(Ms), np.array(Ms, dtype=np.uint16)):
+        got = _M_LIST_CALLS[name](array)
+        assert got == want
+        for row in got:
+            assert type(row.M) is int
+            assert not any(isinstance(v, np.generic) for v in vars(row).values()), row
+
+
+@pytest.mark.parametrize("name", list(_M_LIST_CALLS))
+def test_empty_m_list_array(name):
+    with pytest.raises(DomainError, match="^M_list must be nonempty with all M >= 3$"):
+        _M_LIST_CALLS[name](np.array([], dtype=np.int64))

@@ -102,6 +102,16 @@ class TestEmpiricalRepetitionError:
         b = empirical_repetition_error(inst, 2.0, 2, 5000, seed=23)
         assert a == b
 
+    def test_one_rank_standard_error_is_exactly_zero(self):
+        # every run's median takes the same rank: a sum over the runs left
+        # rounding noise (1.5e-24) as the standard error
+        inst = MeanInstance(1017, 1240, 410)
+        counts = sampler._median_rank_counts(outcome_distribution(inst), 8, 5000, 7)
+        assert np.count_nonzero(counts) == 1
+        run = empirical_repetition_error(inst, 2.0, 8, 5000, seed=7)
+        assert run.empirical_error_q > 0.0
+        assert run.standard_error == 0.0
+
     def test_standard_error_shrinks(self):
         inst = MeanInstance(8, 8, 3)
         small = empirical_repetition_error(inst, 1.0, 0, 10**3, seed=29)
@@ -384,15 +394,27 @@ class TestGuideTableInverseCdf:
 class TestChunkedDraws:
     @staticmethod
     def one_pass(inst, q, n, runs, seed):
-        """The simulation with every draw materialized at once."""
+        """The simulation with every draw materialized at once: the median
+        rank of each run, checked against the median of its gathered
+        outputs, and the result through the sampler's rank reduction."""
         d = outcome_distribution(inst)
         width = 2 * n + 1
         draws = sample_outcomes(d, runs * width, seed).reshape(runs, width)
         j = np.arange(inst.M)
-        outputs = np.sin(np.pi * np.minimum(j, inst.M - j) / inst.M) ** 2
-        stat = np.abs(inst.a - np.median(outputs[draws], axis=1)) ** q
-        se = float(stat.std(ddof=1) / math.sqrt(runs))
-        return float(stat.mean()) ** (1.0 / q), se
+        ranks = np.minimum(j, inst.M - j)
+        outputs = np.sin(np.pi * np.arange(inst.M // 2 + 1) / inst.M) ** 2
+        medians = np.median(ranks[draws], axis=1).astype(np.intp)
+        assert np.array_equal(outputs[medians], np.median(outputs[ranks[draws]], axis=1))
+        counts = np.bincount(medians, minlength=inst.M // 2 + 1)
+        mean, var = sampler._rank_moments(counts / runs, np.abs(inst.a - outputs) ** q)
+        # the same moments summed over runs, which round in another order:
+        # where every median took one rank, that sum's standard error is
+        # rounding noise on the scale of the mean, and the ranks' exactly 0
+        se = math.sqrt(var / (runs - 1))
+        stat = np.abs(inst.a - outputs[medians]) ** q
+        assert mean == pytest.approx(stat.mean(), rel=1e-15, abs=0.0)
+        assert se == pytest.approx(stat.std(ddof=1) / math.sqrt(runs), rel=1e-15, abs=1e-15 * mean)
+        return counts, (mean ** (1.0 / q), se)
 
     @pytest.mark.parametrize("chunk", [1, 7, 2**16])
     @pytest.mark.parametrize(
@@ -410,9 +432,23 @@ class TestChunkedDraws:
     def test_chunked_equals_one_pass(self, q, n, M, chunk, monkeypatch):
         inst = MeanInstance(5, 32, 10) if M == 10 else MeanInstance(123, 4096, M)
         runs = 250  # 7 does not divide it
-        want = self.one_pass(inst, q, n, runs, seed=77)
+        counts, want = self.one_pass(inst, q, n, runs, seed=77)
         monkeypatch.setattr(sampler, "_CHUNK_RUNS", chunk)
+        got = sampler._median_rank_counts(outcome_distribution(inst), n, runs, 77)
+        assert got.dtype == np.int64 and np.array_equal(got, counts)
         run = empirical_repetition_error(inst, q, n, runs, seed=77)
+        assert (run.empirical_error_q, run.standard_error) == want
+
+    def test_uint64_keys(self, monkeypatch):
+        # a chunk's keys past 2^32 (bits = 17, 2^15 + 1 runs): the masked
+        # ranks are uint64, which some numpy versions' bincount refuses
+        inst, n, runs = MeanInstance(12345, 2**20, 2**17), 1, 2**15 + 1
+        assert runs << (inst.M // 2).bit_length() > 2**32
+        counts, want = self.one_pass(inst, 2.0, n, runs, seed=5)
+        monkeypatch.setattr(sampler, "_CHUNK_RUNS", 2**16)
+        got = sampler._median_rank_counts(outcome_distribution(inst), n, runs, 5)
+        assert np.array_equal(got, counts)
+        run = empirical_repetition_error(inst, 2.0, n, runs, seed=5)
         assert (run.empirical_error_q, run.standard_error) == want
 
 
@@ -429,6 +465,36 @@ def test_module_imports_on_its_own(module):
     subprocess.run([sys.executable, "-c", f"import {name}"], check=True, env=env)
 
 
+_PEAK_RSS = """
+import sys
+from qsum.model import MeanInstance
+from qsum.sampler import empirical_repetition_error
+empirical_repetition_error(MeanInstance(3, 7, 13), 1.0, int(sys.argv[1]), int(sys.argv[2]), 7)
+with open("/proc/self/status") as f:
+    print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))  # kB
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+@pytest.mark.parametrize("n, small, large", [(0, 10**5, 10**7), (3, 10**5, 2 * 10**6)])
+def test_memory_does_not_grow_with_runs(n, small, large):
+    # one fresh interpreter per run count, each reading the peak resident
+    # size of its own address space: a statistic kept per run would add
+    # 8 B per run, 80 MB at 10^7 runs.  (getrusage's ru_maxrss would not
+    # do: Linux carries the forking test process's peak over into it.)
+    env = dict(os.environ)
+    src = str(Path(qsum.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    peaks = [
+        int(subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, str(n), str(runs)],
+            check=True, env=env, capture_output=True, text=True,
+        ).stdout)
+        for runs in (small, large)
+    ]
+    assert peaks[1] - peaks[0] <= 4 * 1024, peaks
+
+
 class TestPinnedStreams:
     """Exact bits of the sampler's results, so a change in how draws are
     buffered, converted or reduced cannot move them."""
@@ -437,13 +503,13 @@ class TestPinnedStreams:
         "k, N, M, q, n, runs, seed, mean_hex, se_hex",
         [
             # a million medians of 7
-            (37, 1000, 50, 1.0, 3, 10**6, 11, "0x1.ef00eb9ce6950p-10", "0x1.16e614e97f7bdp-25"),
+            (37, 1000, 50, 1.0, 3, 10**6, 11, "0x1.ef00eb9ce6952p-10", "0x1.16e614e97f7c0p-25"),
             (100, 1000, 40, 2.0, 1, 10**5, 12345, "0x1.5300e036ed430p-8", "0x1.2c9cfa40da839p-20"),
-            (5, 64, 9, 3.0, 0, 50001, 2**61, "0x1.c8d1d924eeba5p-3", "0x1.5862f6fdd9be8p-12"),
-            (1, 2, 22, 1.5, 2, 7777, 3, "0x1.2ebfd9f7b1733p-4", "0x1.f8823ac8ac4cep-14"),
+            (5, 64, 9, 3.0, 0, 50001, 2**61, "0x1.c8d1d924eeba5p-3", "0x1.5862f6fdd9be9p-12"),
+            (1, 2, 22, 1.5, 2, 7777, 3, "0x1.2ebfd9f7b1733p-4", "0x1.f8823ac8ac4cdp-14"),
             # ranks past 255 (two-byte rank dtype); the largest n
-            (123, 4096, 600, 2.0, 2, 20000, 99, "0x1.1bcf689790d55p-11", "0x1.3a8c6ecbe0c3cp-27"),
-            (574, 1024, 13, 1.0, 64, 3000, 1, "0x1.e6e37c62653c4p-4", "0x1.36a98eb1da571p-15"),
+            (123, 4096, 600, 2.0, 2, 20000, 99, "0x1.1bcf689790d55p-11", "0x1.3a8c6ecbe0c3dp-27"),
+            (574, 1024, 13, 1.0, 64, 3000, 1, "0x1.e6e37c62653c2p-4", "0x1.36a98eb1da572p-15"),
         ],
     )
     def test_sample_run_bits(self, k, N, M, q, n, runs, seed, mean_hex, se_hex):
