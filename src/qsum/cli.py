@@ -21,7 +21,7 @@ from .errors import QsumError
 from .model import MeanInstance, random_instances
 from .repetitions import check_repetition_theorem, median_distribution, repetition_error
 from .sampler import empirical_repetition_error, exact_standard_error
-from .distribution import collapse_outputs, outcome_distribution
+from .distribution import _mean_base, collapse_outputs, outcome_distribution
 from .sweep import DEFAULT_GRID_COUNT, DEFAULT_GRID_N, asymptotic_table, default_grid
 
 VERIFY_SUITES = (
@@ -200,7 +200,8 @@ def _cmd_reps(args) -> int:
     inst = MeanInstance(args.k, args.N, args.M)
     if math.isinf(args.q):
         raise QsumError("reps requires finite q; use error --q inf for the sup error")
-    med = median_distribution(collapse_outputs(outcome_distribution(inst)), args.n)
+    # the one-mean memo's distribution, which repetition_error reads again
+    med = median_distribution(collapse_outputs(_mean_base(inst).d), args.n)
     err = repetition_error(inst, args.q, args.n)
     if args.format == "csv":
         rows = [{"alpha": a, "rho": r} for a, r in med.atoms]

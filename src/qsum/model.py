@@ -71,47 +71,36 @@ class AngleSet:
     sigma_is_integer: bool
 
 
-def _snapped(theta: float, sigma: float) -> AngleSet:
-    return AngleSet(theta, float(round(sigma)), 0.0, 0.0, 0.0, True)
-
-
 def derive_angles(inst: MeanInstance, integer_tol: float = INTEGER_TOL) -> AngleSet:
-    """Compute the AngleSet of an instance.
+    """Compute the AngleSet of an instance: the one rule that decides which
+    means the estimator answers exactly.
 
     sigma_is_integer holds iff sigma is within integer_tol of an integer.
     The detection needs a tolerance because arcsin of a float rarely lands
     exactly on a rational multiple of pi; the means 0, 1/2 and 1, whose
-    angles are exact machine numbers, are resolved symbolically first so
-    the flag is exact for them.
+    angles are exact machine numbers, are decided with tolerance 0 so the
+    flag is exact for them at any integer_tol.
     """
     if not 0.0 <= integer_tol < 0.5:
         raise DomainError(f"integer_tol must lie in [0, 0.5), got {integer_tol!r}")
     M = inst.M
-
-    # Exact rational angles: theta = 0, pi/4, pi/2.  sigma = M/4 and M/2
-    # are exact floats, so integrality is decided without tolerance.
+    # Exact rational angles: theta = 0, pi/2, pi/4, where sigma = 0, M/2
+    # and M/4 are exact floats, so their snap takes tolerance 0.
     if inst.k == 0:
-        return _snapped(0.0, 0.0)
-    if inst.k == inst.N:
-        theta, sigma = math.pi / 2.0, M / 2.0
-        if M % 2 == 0:
-            return _snapped(theta, sigma)
-        return AngleSet(theta, sigma, 0.5, 0.5, 0.5, False)
-    if 2 * inst.k == inst.N:
-        theta, sigma = math.pi / 4.0, M / 4.0
-        r = M % 4
-        if r == 0:
-            return _snapped(theta, sigma)
-        lo = r / 4.0
-        return AngleSet(theta, sigma, min(lo, 1.0 - lo), lo, 1.0 - lo, False)
-
-    theta = math.asin(math.sqrt(inst.k / inst.N))
-    sigma = M * theta / math.pi
+        theta, sigma, integer_tol = 0.0, 0.0, 0.0
+    elif inst.k == inst.N:
+        theta, sigma, integer_tol = math.pi / 2.0, M / 2.0, 0.0
+    elif 2 * inst.k == inst.N:
+        theta, sigma, integer_tol = math.pi / 4.0, M / 4.0, 0.0
+    else:
+        theta = math.asin(math.sqrt(inst.k / inst.N))
+        sigma = M * theta / math.pi
     s_lo = sigma - math.floor(sigma)
     s_hi = 1.0 - s_lo if s_lo > 0.0 else 0.0
-    if min(s_lo, s_hi) <= integer_tol:
-        return _snapped(theta, sigma)
-    return AngleSet(theta, sigma, min(s_lo, s_hi), s_lo, s_hi, False)
+    s = s_hi if s_hi < s_lo else s_lo  # min(s_lo, s_hi), without the call
+    if s <= integer_tol:
+        return AngleSet(theta, float(round(sigma)), 0.0, 0.0, 0.0, True)
+    return AngleSet(theta, sigma, s, s_lo, s_hi, False)
 
 
 def _block_angles(ks, Ns, a, M: int):
@@ -121,21 +110,21 @@ def _block_angles(ks, Ns, a, M: int):
     sqrt is correctly rounded in numpy as in math, so np.sqrt(a) equals
     math.sqrt per mean.  theta is libm's math.asin mapped over the roots:
     np.arcsin is numpy's own asin and differs from it in the last bit on
-    about 8% of uniform inputs (numpy 2.4, x86-64 Linux).
+    about 8% of uniform inputs (numpy 2.4, x86-64 Linux).  s is
+    derive_angles' arithmetic, so the rows it could decide (the exact
+    means, and s within INTEGER_TOL) are all among the rows handed to it.
     """
     ks, Ns = np.asarray(ks), np.asarray(Ns)
     root = np.sqrt(a)
     theta = np.fromiter(map(math.asin, root.tolist()), float, len(root))
     sigma = M * theta / math.pi
     s_lo = sigma - np.floor(sigma)
-    s = np.minimum(s_lo, np.where(s_lo > 0.0, 1.0 - s_lo, 0.0))
-    integral = s <= INTEGER_TOL
-    # the exact rational angles 0, pi/4 and pi/2, decided without tolerance
-    for exact, value in ((ks == 0, 0.0), (ks == Ns, M / 2.0), (2 * ks == Ns, M / 4.0)):
-        lo = value % 1.0  # 0, 1/4, 1/2 or 3/4
-        sigma[exact], s[exact], integral[exact] = value, min(lo, 1.0 - lo), lo == 0.0
-    sigma[integral] = np.round(sigma[integral])
-    s[integral] = 0.0
+    s = np.minimum(s_lo, 1.0 - s_lo)
+    integral = np.zeros(len(s), dtype=bool)
+    decided = (ks == 0) | (ks == Ns) | (2 * ks == Ns) | (s <= INTEGER_TOL)
+    for i in np.flatnonzero(decided).tolist():
+        ang = derive_angles(MeanInstance(int(ks[i]), int(Ns[i]), M))
+        sigma[i], s[i], integral[i] = ang.sigma, ang.s, ang.sigma_is_integer
     return sigma, s, integral
 
 

@@ -41,8 +41,9 @@ rank, bits wide enough for M/2, in uint32 while the chunk's keys fit
 and uint64 past that; one flat sort of the chunk's keys puts run r's
 draws in order in slots r w .. r w + w - 1 (w = 2n+1), so its median
 rank is key[r w + n] & (2^bits - 1).  A run of one draw needs no sort.
-On the integral-sigma branch every draw hits the one support index,
-whose output is the mean itself.
+On the integral-sigma branch every draw would hit the one support
+index, whose output is the mean itself, so a simulation there returns
+an error and a standard error of 0 without drawing.
 
 A run's statistic takes one of the M // 2 + 1 values of the rank table,
 so the runs reduce to how many medians took each rank.  The sample mean
@@ -218,13 +219,9 @@ def empirical_repetition_error(
     runs = _check_count(runs, "runs")
     seed = _check_int(seed, "seed")
     d = _mean_base(inst).d
-    alphas = _index_tables(d.M)[2]
     if d.angles.sigma_is_integer:
-        # The support point's output equals the mean exactly.
-        j = int(np.argmax(d.p))
-        alphas = alphas.copy()
-        alphas[min(j, d.M - j)] = inst.a
-    devs = np.abs(inst.a - alphas) ** q
+        return SampleRun(seed, runs, 0.0, 0.0)  # every median is the mean
+    devs = np.abs(inst.a - _index_tables(d.M)[2]) ** q
     mean, var = _rank_moments(_median_rank_counts(d, n, runs, seed) / runs, devs)
     # the sample variance is var * runs / (runs - 1), over runs for the mean
     se = math.sqrt(var / (runs - 1)) if runs > 1 else 0.0

@@ -9,8 +9,9 @@ Every result records its grid so sweeps are reproducible.
 A sweep's set-up is array passes: its means come as int64 arrays of k and
 N in ascending (k, N), a = k/N is one division (grids have N <= 2^53, so
 k and N are exact doubles and the quotient is Python's k / N), and the
-angles come from model._block_angles, which keeps libm's asin per mean so
-that they are bit-identical to derive_angles.
+angles come from model._block_angles, which keeps libm's asin per mean and
+takes every row derive_angles might decide from it, so that they are
+bit-identical to derive_angles.
 
 Sweeps evaluate the means of one M in blocks, after deriving all their
 angles in one pass: each block of BLOCK_ELEMENTS means x outcomes is one
@@ -25,15 +26,10 @@ the rest only, with the same result as a pass over every mean.  The
 unboosted bound (_error_bounds) is O(1) per mean.  It is exact at q = 2;
 at q = 1 it is the cotangent sum split at its zero, exact up to M = 6 and
 within 0.3% above; between them it is Hoelder's interpolation of the two,
-and above q = 2 max(a, 1 - a) times the q = 2 value.  On the default grid
-the kernel sees 2 to 52 of its 10^4 means at q = 1 and q = 2, and 4-27%
-at q = 1.5.  The boosted bound (_median_error_bounds) reads the median's
-tails through the median polynomial, exact on 4 atoms each side of the
-mean and bounded in closed form beyond, from O(log M) columns per mean.
-At n = ceil(q) + 1 the kernel sees 1 to 3 of the repetition theorem's
-2000-odd means at M = 86 and 342, and at most 9 of the default grid's
-10^4 from M = 86 to 1366; at n = 1 it sees more (27-32% at q = 3), as
-the median's tails are heavier.  Where the boosted bound has more columns
+and above q = 2 max(a, 1 - a) times the q = 2 value.  The boosted bound
+(_median_error_bounds) reads the median's tails through the median
+polynomial, exact on 4 atoms each side of the mean and bounded in closed
+form beyond, from O(log M) columns per mean.  Where it has more columns
 than the median step (M <= 29, but for 26 and 27) it saves no time, and
 the sweep runs every mean.
 
@@ -175,26 +171,28 @@ def worst_avg_error(
 
     With no grid the default grid is used and the sharpness instances are
     always injected; an explicit grid is swept verbatim unless
-    include_sharpness is set.  n_reps in [1, 64] sweeps the error of the
-    median of 2 n_reps + 1 runs (finite q only); any other nonzero n_reps
-    raises DomainError.  Ties in the maximum go to the smallest k (then
-    smallest N), independent of evaluation order.
+    include_sharpness is set.  n_reps follows the median polynomial's n
+    rule (an integer in [0, 64], else DomainError); n_reps >= 1 sweeps the
+    error of the median of 2 n_reps + 1 runs (finite q only).  Ties in the
+    maximum go to the smallest k (then smallest N), independent of
+    evaluation order.
     """
-    if _check_int(M, "M") < 3:
+    M = _check_int(M, "M")
+    if M < 3:
         raise DomainError(f"sweeps require M >= 3, got M={M}")
     if math.isnan(q) or q < 1.0:
         raise DomainError(f"q must lie in [1, inf], got {q!r}")
-    if n_reps != 0 and math.isinf(q):
+    n = _check_n(n_reps)
+    if n != 0 and math.isinf(q):
         raise DomainError("boosted sweeps need finite q")
     if include_sharpness is None:
         include_sharpness = grid is None
     if grid is None:
         grid = default_grid()
-    n = 0 if n_reps == 0 else _check_n(n_reps)
     label, means = _sweep_means(M, grid, include_sharpness)
     i, e = _screened_max(M, q, means, n)
     ks, Ns = means[:2]
-    return SweepResult(M, q, n_reps, float(e), int(ks[i]), int(Ns[i]), label)
+    return SweepResult(M, q, n, float(e), int(ks[i]), int(Ns[i]), label)
 
 
 def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):

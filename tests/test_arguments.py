@@ -54,7 +54,7 @@ _ARGUMENTS = {
 }
 
 
-@pytest.mark.parametrize("value", [6.0, np.float64(6.0), True, 2.5], ids=repr)
+@pytest.mark.parametrize("value", [6.0, np.float64(6.0), True, 2.5, 0.0, False], ids=repr)
 @pytest.mark.parametrize("argument", list(_ARGUMENTS))
 def test_integer_rule(argument, value):
     name, call = _ARGUMENTS[argument]
@@ -92,3 +92,16 @@ def test_m_list_arrays(name, Ms):
 def test_empty_m_list_array(name):
     with pytest.raises(DomainError, match="^M_list must be nonempty with all M >= 3$"):
         _M_LIST_CALLS[name](np.array([], dtype=np.int64))
+
+
+def test_n_reps_checked_before_finite_q():
+    with pytest.raises(DomainError, match=r"^n must lie in \[0, 64\], got 65$"):
+        worst_avg_error(6, float("inf"), _GRID, n_reps=65)
+
+
+@pytest.mark.parametrize("n_reps", [0, 1])
+def test_sweep_result_holds_checked_integers(n_reps):
+    want = worst_avg_error(6, 1.0, _GRID, n_reps=n_reps)
+    got = worst_avg_error(np.int64(6), 1.0, _GRID, n_reps=np.int64(n_reps))
+    assert got == want
+    assert type(got.M) is int and type(got.n_reps) is int

@@ -34,25 +34,38 @@ def _near_integral_means(M: int, N: int = 2**52) -> list[int]:
     return ks
 
 
+def _assert_block_is_derive_angles(cases, M):
+    """_block_angles on the means k/N of cases equals derive_angles per mean,
+    bit for bit, zeros' signs included; returns its integral flags."""
+    ks, Ns = zip(*cases)
+    sigma, s, integral = _block_angles(ks, Ns, [k / N for k, N in cases], M)
+    angs = [derive_angles(MeanInstance(k, N, M)) for k, N in cases]
+    assert sigma.tobytes() == np.array([a.sigma for a in angs]).tobytes()
+    assert s.tobytes() == np.array([a.s for a in angs]).tobytes()
+    assert np.array_equal(integral, [a.sigma_is_integer for a in angs])
+    return integral
+
+
 class TestBlockAngles:
     @pytest.mark.parametrize("M", [3, 4, 5, 6, 7, 8, 86, 1053, 4096])
     def test_bit_identical_to_derive_angles(self, M):
         cases = [(k, 4096) for k in range(4097)]
+        cases += [(k, 999) for k in range(1000)]
         cases += [(k, 2**20) for k in default_grid().ks]
-        cases += [(k, 2**52) for k in _near_integral_means(M)]
-        ks, Ns = zip(*cases)
-        sigma, s, integral = _block_angles(ks, Ns, [k / N for k, N in cases], M)
-        angs = [derive_angles(MeanInstance(k, N, M)) for k, N in cases]
-        want_sigma = np.array([a.sigma for a in angs])
-        want_s = np.array([a.s for a in angs])
-        want_flag = np.array([a.sigma_is_integer for a in angs])
-        # bit for bit, zeros' signs included
-        assert sigma.tobytes() == want_sigma.tobytes()
-        assert s.tobytes() == want_s.tobytes()
-        assert np.array_equal(integral, want_flag)
+        for N in (2**52, 2**53, 2**53 - 1):
+            cases += [(k, N) for k in _near_integral_means(M, N) + [0, N // 2, N]]
+        _assert_block_is_derive_angles(cases, M)
         near_ks = _near_integral_means(M)
         near = _block_angles(near_ks, [2**52] * len(near_ks), [k / 2**52 for k in near_ks], M)[2]
         assert near.any() and not near.all()  # both sides of the tolerance
+
+    @pytest.mark.parametrize("M, want", [(6, {0, 16, 48, 64}), (12, {0, 16, 32, 48, 64})])
+    def test_dense_grid_snaps_quarter_means(self, M, want):
+        # a = 1/4 and 3/4 are not exact means: the generic rule snaps them,
+        # and a = 1/4 lands one ulp off its integer, so only by the tolerance
+        integral = _assert_block_is_derive_angles([(k, 64) for k in range(65)], M)
+        assert set(np.flatnonzero(integral).tolist()) == want
+        assert not derive_angles(MeanInstance(16, 64, M), integer_tol=0.0).sigma_is_integer
 
 
 class TestDeriveAngles:
@@ -109,6 +122,16 @@ class TestDeriveAngles:
         assert ang.sigma_is_integer and ang.sigma == 2.0
         strict = derive_angles(MeanInstance(2**18, 2**20, 12), integer_tol=0.0)
         assert not strict.sigma_is_integer
+
+    @pytest.mark.parametrize("k, N, M, tol, s", [(4, 8, 5, 0.3, 0.25), (8, 8, 7, 0.49, 0.5)])
+    def test_exact_means_ignore_tolerance(self, k, N, M, tol, s):
+        # the means 0, 1/2 and 1 are decided exactly at any integer_tol
+        ang = derive_angles(MeanInstance(k, N, M), integer_tol=tol)
+        assert ang.s == s and not ang.sigma_is_integer
+        assert ang.sigma == M * k / (2 * N)
+        # a generic mean as far from an integer snaps at that tolerance
+        near = derive_angles(MeanInstance(2**19 + 1, 2**20, 5), integer_tol=0.3)
+        assert near.sigma_is_integer and near.sigma == 1.0
 
     def test_tol_validation(self):
         with pytest.raises(DomainError):
