@@ -76,10 +76,7 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_m_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad M list {text!r}") from exc
+    return [_parse_int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _emit(lines: list[str]) -> None:

@@ -111,7 +111,7 @@ def local_avg_error(inst: MeanInstance, q: float) -> float:
     routine because "max over positive-probability outcomes" does not fit
     the L_q machinery.
     """
-    _check_q(q)
+    q = _check_q(q)
     ang = derive_angles(inst)
     return float(_block_errors(inst.M, q, *_row(inst, ang))[0][0])
 

@@ -43,8 +43,8 @@ class MeanInstance:
             raise DomainError(f"N must be positive, got {self.N}")
         if not 0 <= self.k <= self.N:
             raise DomainError(f"need 0 <= k <= N, got k={self.k}, N={self.N}")
-        if self.M < 1:
-            raise DomainError(f"M must be positive, got {self.M}")
+        if not 1 <= self.M <= 2**53:  # past 2^53, sigma has no fractional bits
+            raise DomainError(f"M must lie in [1, 2^53], got {self.M}")
 
     @property
     def a(self) -> float:

@@ -93,10 +93,11 @@ def _check_n(n) -> int:
     return n
 
 
-def _check_q(q: float) -> None:
-    """The exponent of an L_q average: q in [1, inf)."""
-    if math.isnan(q) or q < 1.0 or math.isinf(q):
+def _check_q(q: float) -> float:
+    """The exponent of an L_q average: a real q in [1, inf), not a bool, as a float."""
+    if isinstance(q, bool) or math.isnan(q) or q < 1.0 or math.isinf(q):
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
+    return float(q)
 
 
 def _check_count(value, name: str, least: int = 1) -> int:

@@ -112,7 +112,7 @@ def repetition_error(inst: MeanInstance, q: float, n: int) -> float:
     a one-row case of the boosted sweep's median step, on the mean's
     memoized base and median masses.
     """
-    _check_q(q)
+    q = _check_q(q)
     n = _check_n(n)
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
@@ -132,7 +132,7 @@ def check_repetition_theorem(
     closed-form value for it is available.  Each column is a screened
     sweep's maximum (sweep._screened_max), equal to a pass over every mean.
     """
-    _check_q(q)
+    q = _check_q(q)
     M_list = _check_m_list(M_list)
     n = math.ceil(q) + 1
     grid = default_grid(count=REPS_GRID_COUNT) if grid is None else grid

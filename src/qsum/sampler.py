@@ -53,9 +53,8 @@ median masses; when every median took one rank, its frequency is exactly
 1 and the standard error exactly 0.
 
 Memory: runs are simulated in chunks of _CHUNK_RUNS, so the draw
-buffers do not grow with the run count (under 1 MB at 2n+1 = 7), and
-each chunk only adds its medians to the counts, 8 B per rank.  Nothing
-grows with runs.
+buffers do not grow with the run count, and each chunk only adds its
+medians to the counts, 8 B per rank.  Nothing grows with runs.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ def empirical_repetition_error(
     cross-validation contract.  n follows the exact engines' rule: an
     integer in [0, MAX_REPETITION_N].
     """
-    _check_q(q)
+    q = _check_q(q)
     n = _check_n(n)
     runs = _check_count(runs, "runs")
     seed = _check_int(seed, "seed")
@@ -284,7 +283,7 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     the one-mean memo (distribution._base_masses), shared with
     repetition_error.
     """
-    _check_q(q)
+    q = _check_q(q)
     n = _check_n(n)
     runs = _check_count(runs, "runs")
     base = _mean_base(inst)

@@ -1,5 +1,7 @@
 """The integer rule of every public integer argument: a Python or numpy
-integer, not a bool, else a DomainError that names the argument."""
+integer, not a bool, else a DomainError that names the argument; and the
+q rule: a real q in [1, inf) (inf too for a sweep), not a bool, kept as a
+Python float."""
 
 import re
 
@@ -8,6 +10,7 @@ import pytest
 
 from qsum import event_probability, exact_error, output_value, random_instances
 from qsum.distribution import outcome_distribution
+from qsum.error_analysis import local_avg_error
 from qsum.errors import DomainError
 from qsum.model import MeanInstance
 from qsum.repetitions import check_repetition_theorem, repetition_error
@@ -105,3 +108,30 @@ def test_sweep_result_holds_checked_integers(n_reps):
     got = worst_avg_error(np.int64(6), 1.0, _GRID, n_reps=np.int64(n_reps))
     assert got == want
     assert type(got.M) is int and type(got.n_reps) is int
+
+
+# calls taking the q under test
+_Q_CALLS = {
+    "worst_avg_error": lambda q: worst_avg_error(6, q, _GRID),
+    "check_repetition_theorem": lambda q: check_repetition_theorem(q, [6], _GRID),
+    "local_avg_error": lambda q: local_avg_error(_INST, q),
+    "repetition_error": lambda q: repetition_error(_INST, q, 1),
+    "empirical_repetition_error": lambda q: empirical_repetition_error(_INST, q, 1, 100, 1),
+    "exact_standard_error": lambda q: exact_standard_error(_INST, q, 1, 100),
+}
+
+
+@pytest.mark.parametrize("q", [True, False], ids=repr)
+@pytest.mark.parametrize("name", list(_Q_CALLS))
+def test_bool_q_rejected(name, q):
+    with pytest.raises(DomainError, match=rf"^q must lie in \[1, inf\), got {q}$"):
+        _Q_CALLS[name](q)
+
+
+@pytest.mark.parametrize("q", [1, 2, np.float64(1.0), np.float32(1.5), np.float64(np.inf)], ids=repr)
+def test_sweep_q_kept_as_python_float(q):
+    got = worst_avg_error(6, q, _GRID)
+    assert type(got.q) is float and got == worst_avg_error(6, float(q), _GRID)
+    if not np.isinf(q):
+        (row,) = check_repetition_theorem(q, [6], _GRID)
+        assert type(row.q) is float and row == check_repetition_theorem(float(q), [6], _GRID)[0]

@@ -115,6 +115,17 @@ class TestSweep:
                             "argmax_N", "normalized_constant"}
 
 
+    def test_m_list_follows_the_integer_flag_rule(self, capsys):
+        # as --M: decimal literals of integral value pass, others exit 2
+        flags = ("--q", "1", "--N", "1024", "--count", "64")
+        want = run_cli(capsys, "sweep", "--M-list", "6,22", *flags)
+        assert want[0] == 0
+        assert run_cli(capsys, "sweep", "--M-list", "6.0, 22,", *flags) == want
+        for bad in ("6.5,22", "6,x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--M-list", bad, *flags])
+            assert exc.value.code == 2
+
     @pytest.mark.parametrize("N", [2**53 + 1, 2**64 - 1, 2**70])
     def test_grid_n_above_2_53_exits_two(self, capsys, N):
         code, out, err = run_cli(

@@ -24,6 +24,14 @@ class TestMeanInstance:
         with pytest.raises(DomainError):
             MeanInstance(1.5, 8, 5)
 
+    def test_m_at_most_2_53(self):
+        # past 2^53 sigma has no fractional bits: the exact mean 1 at
+        # M = 2^54 + 1 would get s = 0.5 rounded away and be flagged integral
+        assert MeanInstance(3, 7, 2**53).M == 2**53
+        for M in (2**53 + 1, 2**54 + 1):
+            with pytest.raises(DomainError, match=rf"^M must lie in \[1, 2\^53\], got {M}$"):
+                MeanInstance(3, 7, M)
+
 
 def _near_integral_means(M: int, N: int = 2**52) -> list[int]:
     """k/N with sigma at offsets around integer_tol from integers m."""

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsum import model, sweep
+from qsum import bounds, model, sweep
 from qsum.distribution import (
     _block_errors,
     _block_median_errors,
@@ -359,11 +359,14 @@ class TestErrorBounds:
         near = (s < 1e-8) & ~integral
         assert near.sum() >= 2  # s within 1e-8 of 0, not snapped
         assert integral.any()
+        live = ~integral
         for q in self.QS:
             e = _kernel_errors(M, q, ks, Ns)[0]
-            with warnings.catch_warnings():  # integral rows included
+            with warnings.catch_warnings():  # integral rows included in the entry
                 warnings.simplefilter("error", RuntimeWarning)
-                u = sweep._error_bounds(M, q, a, sigma, s, integral)
+                u = bounds.error_bounds(M, q, 0, a, sigma, s, integral)
+                direct = bounds._error_bounds(M, q, a[live], sigma[live], s[live])
+            assert (u[live] == direct).all(), q  # the bound itself, on its rows
             assert (e <= u * (1.0 + sweep._SCREEN_MARGIN)).all(), q
             assert (u[integral] == 0.0).all() and (e[integral] == 0.0).all()
             if q == 2.0:
@@ -407,24 +410,37 @@ class TestMedianErrorBounds:
         assert integral.any() and (near & ~integral).sum() >= 2
         # the kernel pass and its median step, as a boosted sweep takes them
         p = _block_errors(M, None, sigma, s, integral, ks, Ns)[1]
+        live = ~integral
         for q in self.QS:
             for n in self.NS:
-                e = np.where(integral, 0.0, _block_median_errors(p, a, q, n))
-                with warnings.catch_warnings():  # integral rows and both ends included
+                e = _block_median_errors(p, a, q, n)[live]
+                with warnings.catch_warnings():  # both ends included
                     warnings.simplefilter("error", RuntimeWarning)
-                    u = sweep._median_error_bounds(M, q, n, a, sigma, s, integral)
+                    u = bounds._median_error_bounds(M, q, n, a[live], sigma[live], s[live])
+                    entry = bounds.error_bounds(M, q, n, a, sigma, s, integral)
                 assert (e <= u * (1.0 + sweep._SCREEN_MARGIN)).all(), (q, n)
-                assert (u[integral] == 0.0).all()
+                if entry is not None:  # integral rows included
+                    assert (entry[live] == u).all() and (entry[integral] == 0.0).all()
                 # exact where every atom is in the windows (M <= 7), and
                 # where the median sits on the atom next to sigma: there e_n
                 # is |alpha - a| at the table's output, to rounding
-                exact = ~integral & ((M <= 7) | (near & (n == 64)))
+                exact = ((M <= 7) | (near & (n == 64)))[live]
                 np.testing.assert_allclose(u[exact], e[exact], rtol=1e-12, atol=0.0)
 
     def test_offsets(self):
         # the window, then breakpoints growing by 1.5 up to floor(M/2)
-        assert sweep._bound_offsets(6).tolist() == [0, 1, 2, 3]
-        assert sweep._bound_offsets(86).tolist() == [0, 1, 2, 3, 4, 6, 9, 14, 21, 32]
+        assert bounds._bound_offsets(6).tolist() == [0, 1, 2, 3]
+        assert bounds._bound_offsets(86).tolist() == [0, 1, 2, 3, 4, 6, 9, 14, 21, 32]
+
+    def test_entry_gives_none_where_the_bound_costs_as_much_as_the_kernel(self):
+        # more columns than the median step's floor(M/2) + 1: at every
+        # n >= 1 for M in [3, 29] but 26 and 27, and never unboosted
+        a = np.array([0.3])
+        for M in range(3, 200):
+            angles = _block_angles([3], [10], a, M)
+            none = [bounds.error_bounds(M, 2.0, n, a, *angles) is None for n in (0, 1, 64)]
+            want = M <= 29 and M not in (26, 27)
+            assert none == [False, want, want], M
 
 
 class TestBoostedScreen:
@@ -455,7 +471,7 @@ class TestBoostedScreen:
         # the mirror means 522535 and 526041 on 2^20 tie at M = 22, to the
         # bit or within one ulp; a bound with one tail block screens there,
         # and both are kept, so rounding picks the argmax as in a full pass
-        monkeypatch.setattr(sweep, "_bound_offsets", lambda M: np.arange(5))
+        monkeypatch.setattr(bounds, "_bound_offsets", lambda M: np.arange(5))
         want = self.full_pass(22, q, n, self.GRID, False)
         assert want[1] in (522535, 526041)
         means = sweep._sweep_means(22, self.GRID, False)[1]
@@ -471,7 +487,7 @@ class TestBoostedScreen:
         def bound(*args):
             raise AssertionError("screened an invalid n")
 
-        monkeypatch.setattr(sweep, "_median_error_bounds", bound)
+        monkeypatch.setattr(bounds, "_median_error_bounds", bound)
         calls = _counted_kernel(monkeypatch)
         with pytest.raises(DomainError):
             worst_avg_error(86, 2.0, self.GRID, n_reps=n_reps)
