@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import error_analysis as ea
-from .errors import QsumError
+from .errors import DomainError, QsumError
 from .model import MeanInstance, random_instances
+from .numerics import _check_q
 from .repetitions import check_repetition_theorem, median_distribution, repetition_error
 from .sampler import empirical_repetition_error, exact_standard_error
 from .distribution import _mean_base, collapse_outputs, outcome_distribution
@@ -52,12 +53,14 @@ def _fmt(x: float) -> str:
 
 
 def _parse_q(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
+    """A --q value: inf, or a q by the library's rule (numerics._check_q)."""
     q = float(text)
-    if math.isnan(q) or q < 1.0:
-        raise argparse.ArgumentTypeError(f"q must lie in [1, inf], got {text!r}")
-    return q
+    if q == math.inf:
+        return q
+    try:
+        return _check_q(q)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_int(text: str) -> int:

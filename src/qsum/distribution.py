@@ -12,16 +12,17 @@ an index whose output equals a exactly.  Both distributions here are
 immutable after construction and may be shared across threads freely.
 
 The median of 2n+1 draws is computed in two halves: _median_points, the
-atom boundaries read from their nearer tails, which do not depend on n,
-and _median_step, the median polynomial at those points.  Sweeps run both
-per block.  The one-mean boosted functions share a memo, _mean_base, of
-the 4 most recent means' outcome distributions, folded atoms and median
-points, and of each n's median masses once asked for, so repeated calls
-on one mean build them once: a (mean, n) costs one table call, and each
-further q only its L_q sum.  Its entries are read-only arrays, safe to
-share across threads, and at most 4 of them are kept, each O(M) memory
-for its base plus at most MAX_REPETITION_N arrays of M//2 + 1 floats
-(8 B each) for the masses.
+atom boundaries read from their nearer tails with the n-independent
+inputs of the median polynomial there, and _median_step, the polynomial's
+n-dependent pass on them.  Sweeps run both per block.  The one-mean
+boosted functions share a memo, _mean_base, of the 4 most recent means'
+outcome distributions, folded atoms and median points, of each n's median
+masses once asked for, and of |a - alpha|^q at the most recent q, so
+repeated calls on one mean build each once: a (mean, n) costs one
+polynomial pass; a (mean, q) one deviation table.  Its entries are
+read-only arrays, safe to share across threads, and at most 4 of them are
+kept, each O(M) memory for its base plus at most MAX_REPETITION_N mass
+rows and one deviation row of M//2 + 1 floats (8 B each).
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import INTEGER_TOL, AngleSet, MeanInstance, derive_angles
-from .numerics import MAX_REPETITION_N, _check_int, _check_n, median_cdf_table  # noqa: F401
+from .numerics import MAX_REPETITION_N, _check_int, _check_n  # noqa: F401
+from .numerics import _median_inputs, _median_poly
 
 __all__ = [
     "OutcomeDistribution",
@@ -149,12 +151,14 @@ def _index_tables(M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class _MeanBase(NamedTuple):
     """The n-independent half of one mean's boosted errors, read-only,
-    with the median masses of each n asked for so far (see _base_masses)."""
+    with the median masses of each n asked for so far (see _base_masses)
+    and the deviations of the most recent q (see _base_devs)."""
 
     d: OutcomeDistribution
     rhos: np.ndarray  # folded atoms, one row
     points: tuple  # their _median_points
     masses: dict  # n -> read-only median masses, one row
+    devs: list  # [(q, read-only |a - alpha|^q, one row)], replaced as a whole
 
 
 @functools.lru_cache(maxsize=4)
@@ -163,19 +167,20 @@ def _mean_base(inst: MeanInstance) -> _MeanBase:
     points, kept for the 4 most recent means: a curve over n and q of one
     mean, or a Monte Carlo cross-check of it, builds them once.  Each
     entry also keeps the median masses of the n values asked for, at most
-    MAX_REPETITION_N rows of M//2 + 1 floats, freed with the entry."""
+    MAX_REPETITION_N rows of M//2 + 1 floats, and one deviation row,
+    freed with the entry."""
     d = outcome_distribution(inst)
     rhos = _fold_atoms(d.p[None])
     points = _median_points(rhos)
     for arr in (rhos, *points):
         arr.flags.writeable = False
-    return _MeanBase(d, rhos, points, {0: rhos})
+    return _MeanBase(d, rhos, points, {0: rhos}, [(None, None)])
 
 
 def _base_masses(base: _MeanBase, n: int) -> np.ndarray:
     """The median masses of 2n+1 draws (one row, read-only) of a memoized
-    mean, for an n already checked: one table call on the first ask of
-    each n, none after.  n = 0 is the folded atoms themselves.  Threads
+    mean, for an n already checked: one polynomial pass on the first ask
+    of each n, none after.  n = 0 is the folded atoms themselves.  Threads
     that race on a new n compute the same bits; the first to store wins."""
     masses = base.masses.get(n)
     if masses is None:
@@ -183,6 +188,19 @@ def _base_masses(base: _MeanBase, n: int) -> np.ndarray:
         masses.flags.writeable = False
         masses = base.masses.setdefault(n, masses)
     return masses
+
+
+def _base_devs(base: _MeanBase, q: float) -> np.ndarray:
+    """|a - alpha|^q over the outputs of j = 0..M//2 (one row, read-only)
+    of a memoized mean, for a q already checked: built on the first ask
+    after another q, none after.  The slot holds one (q, row) pair and is
+    replaced as a whole, so a thread racing on it reads a matching pair."""
+    last_q, devs = base.devs[0]
+    if last_q != q:
+        devs = _deviations(np.array([base.d.instance.a]), base.d.M, q)
+        devs.flags.writeable = False
+        base.devs[0] = (q, devs)
+    return devs
 
 
 def _folded_sines(j: np.ndarray, sigma: np.ndarray, M: int | None = None) -> np.ndarray:
@@ -317,11 +335,11 @@ def _fold_atoms(p: np.ndarray) -> np.ndarray:
     return rhos
 
 
-def _median_points(rhos: np.ndarray):
+def _median_points(rhos: np.ndarray) -> tuple:
     """The n-independent half of the median step, along the last axis of
-    the atoms rhos: each atom boundary's tail point, the mask of the
-    boundaries read from the right tail, and the mask of the one atom whose
-    boundaries straddle the switch between the two tails.
+    the atoms rhos: the mask of the boundaries read from the right tail,
+    the mask of the one atom whose boundaries straddle the switch between
+    the two tails, then the _median_inputs of each boundary's tail point.
 
     Each boundary is read from its nearer tail, so no difference is taken
     between two values near 1: where the left cumulative F <= 1/2 the point
@@ -332,26 +350,27 @@ def _median_points(rhos: np.ndarray):
     np.cumsum(rhos, axis=-1, out=left[..., 1:])
     np.cumsum(rhos[..., ::-1], axis=-1, out=right[..., -2::-1])
     near = left <= 0.5
-    return np.where(near, left, right), ~near, near[..., :-1] & ~near[..., 1:]
+    inputs = _median_inputs(np.where(near, left, right))
+    return (~near, near[..., :-1] & ~near[..., 1:], *inputs)
 
 
 def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
     """Atom masses of the median of 2n+1 draws from the atoms rhos, along
-    the last axis, given their _median_points: the median CDF I at each
-    boundary, differenced.  n = 0 keeps the atoms, which CDF differences
-    would round.
+    the last axis, given their _median_points and an n already checked:
+    the median CDF I at each boundary, differenced.  n = 0 keeps the
+    atoms, which CDF differences would round.
 
     A near boundary's value is I(F); a far one's is I(F) - 1 = -I(G).  All
-    these points go through one table call.  The switch atom gets the 1
-    back, so the masses still telescope to I(1) - I(0) = 1.  A difference
-    of two rounded tail values can fall just below 0 (by up to 2.4e-291
-    where both are near 0); such masses are clipped to 0.
+    these points go through one polynomial pass; they are cumulative sums
+    of nonnegative masses, so they already lie in [0, 1].  The switch atom
+    gets the 1 back, so the masses still telescope to I(1) - I(0) = 1.  A
+    difference of two rounded tail values can fall just below 0 (by up to
+    2.4e-291 where both are near 0); such masses are clipped to 0.
     """
-    n = _check_n(n)
     if n == 0:
         return rhos.copy()
-    tail_points, far, switch = points
-    tails = median_cdf_table(tail_points, n)
+    far, switch, *inputs = points
+    tails = _median_poly(inputs, n)
     np.negative(tails, out=tails, where=far)
     masses = np.diff(tails, axis=-1)
     masses[switch] += 1.0
@@ -361,20 +380,27 @@ def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
 def _median_masses(rhos: np.ndarray, n: int) -> np.ndarray:
     """Atom masses of the median of 2n+1 draws: both halves of the median
     step back to back (n = 0 needs no points)."""
-    return _median_step(rhos, _median_points(rhos) if _check_n(n) else None, n)
+    n = _check_n(n)
+    return _median_step(rhos, _median_points(rhos) if n else None, n)
 
 
-def _median_lq(M: int, masses: np.ndarray, a: np.ndarray, q: float) -> np.ndarray:
-    """Per-row L_q error of the means a whose median has the atom masses
-    (rows x (M//2 + 1)) over the outputs of j = 0..M//2."""
-    devs = np.abs(a[:, None] - _index_tables(M)[2]) ** q
+def _deviations(a: np.ndarray, M: int, q: float) -> np.ndarray:
+    """|a - alpha|^q, one row per mean a, over the outputs alpha of
+    j = 0..M//2."""
+    return np.abs(a[:, None] - _index_tables(M)[2]) ** q
+
+
+def _median_lq(masses: np.ndarray, devs: np.ndarray, q: float) -> np.ndarray:
+    """Per-row L_q error of the medians with the atom masses (rows x
+    (M//2 + 1)), under their _deviations at q."""
     return np.einsum("ij,ij->i", masses, devs) ** (1.0 / q)
 
 
 def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.ndarray:
     """Per-row L_q error of the median of 2n+1 runs, for outcome
-    probabilities p (rows x M) of the means a, in one table evaluation."""
-    return _median_lq(p.shape[-1], _median_masses(_fold_atoms(p), n), a, q)
+    probabilities p (rows x M) of the means a, in one polynomial pass."""
+    masses = _median_masses(_fold_atoms(p), n)
+    return _median_lq(masses, _deviations(a, p.shape[-1], q), q)
 
 
 def exact_error(inst: MeanInstance, j: int) -> float:

@@ -57,9 +57,23 @@ def _median_cdf(x: np.ndarray, n: int) -> np.ndarray:
     cancels and the relative error stays near a few ulp at every n up to
     the cap.  Above 1/2, I(x) = 1 - I(1 - x), where 1 - x is exact.
     """
+    return _median_poly(_median_inputs(x), n)
+
+
+def _median_inputs(x: np.ndarray) -> tuple:
+    """The n-independent half of _median_cdf at points x in [0, 1]: z =
+    min(x, 1 - x), 1 - z, r = z/(1 - z) and the masks x > 1/2 and x = 1/2.
+    A caller that evaluates one set of points at many n keeps these."""
     z = np.minimum(x, 1.0 - x)
     w = 1.0 - z
-    r = z / w
+    return z, w, z / w, x > 0.5, x == 0.5
+
+
+def _median_poly(inputs: tuple, n: int) -> np.ndarray:
+    """The n-dependent half of _median_cdf, on its _median_inputs, for an
+    n already checked: the Horner pass, the two powers, the reflection
+    above 1/2 and the exact value at 1/2, in a new array."""
+    z, w, r, upper, half = inputs
     coeffs = _median_coefficients(n)
     acc = np.full_like(z, coeffs[0])
     for c in coeffs[1:]:
@@ -67,8 +81,8 @@ def _median_cdf(x: np.ndarray, n: int) -> np.ndarray:
         acc += c
     acc *= z ** (n + 1)
     acc *= w**n
-    np.subtract(1.0, acc, out=acc, where=x > 0.5)
-    np.copyto(acc, 0.5, where=x == 0.5)  # t^n (1-t)^n is symmetric about 1/2
+    np.subtract(1.0, acc, out=acc, where=upper)
+    np.copyto(acc, 0.5, where=half)  # t^n (1-t)^n is symmetric about 1/2
     return acc
 
 
@@ -93,9 +107,13 @@ def _check_n(n) -> int:
     return n
 
 
+_REALS = (float, int, np.floating, np.integer)
+
+
 def _check_q(q: float) -> float:
-    """The exponent of an L_q average: a real q in [1, inf), not a bool, as a float."""
-    if isinstance(q, bool) or math.isnan(q) or q < 1.0 or math.isinf(q):
+    """The exponent of an L_q average: a Python or numpy real q in [1, inf),
+    not a bool, as a float."""
+    if isinstance(q, bool) or not isinstance(q, _REALS) or not 1.0 <= q < math.inf:
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
     return float(q)
 

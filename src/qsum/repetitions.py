@@ -13,15 +13,17 @@ I(F) = 1 - I(G) at the mass G to the right beyond it, so no mass is a
 difference of two values near 1.  The masses telescope to
 I(1) - I(0) = 1 up to the rounding of each difference.
 
-The boundaries, the tail each is read from and the atom at the switch do
-not depend on n.  repetition_error, and the sampler's one-mean functions,
-take them with the outcome distribution and its atoms from a memo of the
-4 most recent means (distribution._mean_base), so a curve over n and q of
-one mean builds that base once.  The entry also keeps each n's median
-masses once computed, since they do not depend on q: a (mean, n) costs
-one table call, and each further q only one L_q sum.  An entry holds at
-most MAX_REPETITION_N such rows of M//2 + 1 floats.  The memo's entries
-are read-only, so sharing them across threads is safe.
+The boundaries, the tail each is read from, the atom at the switch and
+the polynomial's inputs at the boundaries do not depend on n.
+repetition_error, and the sampler's one-mean functions, take them with
+the outcome distribution and its atoms from a memo of the 4 most recent
+means (distribution._mean_base), so a curve over n and q of one mean
+builds that base once.  The entry also keeps each n's median masses once
+computed, since they do not depend on q, and the deviations |a - alpha|^q
+of the most recent q, which do not depend on n: a (mean, n) costs one
+polynomial pass; a (mean, q) one deviation table.  An entry holds at most
+MAX_REPETITION_N mass rows and one deviation row of M//2 + 1 floats.  The
+memo's entries are read-only, so sharing them across threads is safe.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutputDistribution, _base_masses, _mean_base, _median_lq
+from .distribution import OutputDistribution, _base_devs, _base_masses, _mean_base, _median_lq
 from .distribution import _median_masses
 from .model import MeanInstance
 from .numerics import MAX_REPETITION_N, _check_n, _check_q  # noqa: F401
@@ -110,15 +112,14 @@ def repetition_error(inst: MeanInstance, q: float, n: int) -> float:
     Matches local_avg_error at n = 0 and is exactly 0 on the
     integral-sigma branch (the base is already a point mass at the mean);
     a one-row case of the boosted sweep's median step, on the mean's
-    memoized base and median masses.
+    memoized base, median masses and deviations.
     """
     q = _check_q(q)
     n = _check_n(n)
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
         return 0.0
-    masses = _base_masses(base, n)
-    return float(_median_lq(inst.M, masses, np.array([inst.a]), q)[0])
+    return float(_median_lq(_base_masses(base, n), _base_devs(base, q), q)[0])
 
 
 def check_repetition_theorem(

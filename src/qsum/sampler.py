@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import OutcomeDistribution, _base_masses, _index_tables, _mean_base
+from .distribution import OutcomeDistribution, _base_devs, _base_masses, _mean_base
 from .model import MeanInstance
 from .numerics import _check_count, _check_int, _check_n, _check_q
 
@@ -217,10 +217,11 @@ def empirical_repetition_error(
     n = _check_n(n)
     runs = _check_count(runs, "runs")
     seed = _check_int(seed, "seed")
-    d = _mean_base(inst).d
+    base = _mean_base(inst)
+    d = base.d
     if d.angles.sigma_is_integer:
         return SampleRun(seed, runs, 0.0, 0.0)  # every median is the mean
-    devs = np.abs(inst.a - _index_tables(d.M)[2]) ** q
+    devs = _base_devs(base, q)[0]
     mean, var = _rank_moments(_median_rank_counts(d, n, runs, seed) / runs, devs)
     # the sample variance is var * runs / (runs - 1), over runs for the mean
     se = math.sqrt(var / (runs - 1)) if runs > 1 else 0.0
@@ -279,9 +280,9 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     The comparison scale for cross-checks: a run whose draws never hit a
     rare atom reports a sample standard error of zero, and this exact
     value takes over there.  It is exactly 0 on the integral-sigma branch,
-    where every median is the mean itself.  The median masses come from
-    the one-mean memo (distribution._base_masses), shared with
-    repetition_error.
+    where every median is the mean itself.  The median masses and the
+    deviations come from the one-mean memo (distribution._base_masses and
+    _base_devs), shared with repetition_error.
     """
     q = _check_q(q)
     n = _check_n(n)
@@ -289,5 +290,5 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
         return 0.0
-    devs = np.abs(inst.a - _index_tables(inst.M)[2]) ** q
+    devs = _base_devs(base, q)[0]
     return math.sqrt(_rank_moments(_base_masses(base, n)[0], devs)[1] / runs)

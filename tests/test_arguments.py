@@ -128,6 +128,14 @@ def test_bool_q_rejected(name, q):
         _Q_CALLS[name](q)
 
 
+@pytest.mark.parametrize("q", ["2", None, 2 + 0j, np.complex128(2)], ids=repr)
+@pytest.mark.parametrize("name", list(_Q_CALLS))
+def test_non_real_q_rejected(name, q):
+    message = rf"^q must lie in \[1, inf\), got {re.escape(repr(q))}$"
+    with pytest.raises(DomainError, match=message):
+        _Q_CALLS[name](q)
+
+
 @pytest.mark.parametrize("q", [1, 2, np.float64(1.0), np.float32(1.5), np.float64(np.inf)], ids=repr)
 def test_sweep_q_kept_as_python_float(q):
     got = worst_avg_error(6, q, _GRID)

@@ -54,6 +54,22 @@ class TestError:
         assert code == 0
         assert out.strip().split("\n")[1] == "8,8,3,inf,1"
 
+    @pytest.mark.parametrize("text", [" Infinity", "+inf", "1e999"])
+    def test_q_inf_spellings(self, capsys, text):
+        flags = ("error", "--k", "8", "--N", "8", "--M", "3", "--q")
+        assert run_cli(capsys, *flags, text) == run_cli(capsys, *flags, "inf")
+
+    @pytest.mark.parametrize("text", ["nan", "0.5", "0"])
+    def test_q_follows_the_library_rule(self, capsys, text):
+        # the q rule of numerics._check_q, with its message, and exit code 2
+        with pytest.raises(SystemExit) as exc:
+            main(["error", "--k", "3", "--N", "7", "--M", "13", "--q", text])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(
+            f"error: argument --q: q must lie in [1, inf), got {float(text)!r}\n"
+        )
+
     def test_near_pole_at_large_M(self, capsys):
         # sigma 1.5e-9 from an integer at M = 20000: past the snap
         # tolerance, so a valid instance with a finite error

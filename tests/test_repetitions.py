@@ -17,6 +17,7 @@ from qsum.distribution import (
     outcome_distribution,
 )
 from qsum.error_analysis import local_avg_error, local_sup_error
+from qsum.numerics import median_cdf_table
 from qsum.repetitions import (
     REPS_GRID_COUNT,
     check_repetition_theorem,
@@ -182,7 +183,8 @@ def _near_integer_means(M: int, rng) -> list[MeanInstance]:
 class TestMeanBaseMemo:
     """repetition_error, exact_standard_error and empirical_repetition_error
     share one memoized base per mean: its outcome distribution, folded atoms
-    and median points."""
+    and median points, each n's median masses and the deviations of the
+    most recent q."""
 
     NS = (0, 1, 2, 3, 8, 32, 64)
     QS = (1.0, 1.5, 2.0, 3.0)
@@ -274,23 +276,63 @@ class TestMeanBaseMemo:
             assert distribution._mean_base.cache_info().currsize <= maxsize
         for inst in means[-maxsize:]:  # the entries the memo holds
             base = distribution._mean_base(inst)
-            for arr in (base.d.p, base.rhos, *base.points):
+            arrays = [base.d.p, base.rhos, *base.points]
+            assert len(base.points) == 7  # two masks, then the polynomial's five inputs
+            if not base.d.angles.sigma_is_integer:
+                ((q, devs),) = base.devs
+                assert q == 2.0 and devs.shape == (1, inst.M // 2 + 1)
+                arrays.append(devs)
+            for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0
         assert distribution._mean_base.cache_info().misses == len(means)
 
+    def test_entry_rows_bounded(self):
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(84667, 329873, 1366)
+        for q in self.QS:
+            for n in range(distribution.MAX_REPETITION_N + 1):
+                repetition_error(inst, q, n)
+        base = distribution._mean_base(inst)
+        # n = 0 is the folded atoms themselves, not a further row
+        assert len(base.masses) == distribution.MAX_REPETITION_N + 1
+        assert base.masses[0] is base.rhos
+        ((q, devs),) = base.devs  # one deviation row, of the last q
+        assert q == self.QS[-1] and devs.shape == base.rhos.shape
+
+    def test_curve_builds_deviations_once(self, monkeypatch):
+        calls = []
+        build = distribution._deviations
+
+        def counted(a, M, q):
+            calls.append(q)
+            return build(a, M, q)
+
+        monkeypatch.setattr(distribution, "_deviations", counted)
+        distribution._mean_base.cache_clear()
+        inst = MeanInstance(84667, 329873, 1366)
+        for n in (0, 1, 3, 8, 32, 64):
+            repetition_error(inst, 2.0, n)
+        assert calls == [2.0]
+        inst = MeanInstance(3, 7, 13)
+        empirical_repetition_error(inst, 2.0, 1, 100, seed=1)
+        exact_standard_error(inst, 2.0, 1, 100)
+        repetition_error(inst, 2.0, 1)
+        repetition_error(inst, 1.0, 1)
+        assert calls == [2.0, 2.0, 1.0]
+
     @staticmethod
     def count_tables(monkeypatch) -> list[int]:
-        """The n of every median table call from here on."""
+        """The n of every median polynomial pass from here on."""
         calls = []
-        table = distribution.median_cdf_table
+        poly = distribution._median_poly
 
-        def counted(points, n):
+        def counted(inputs, n):
             calls.append(n)
-            return table(points, n)
+            return poly(inputs, n)
 
-        monkeypatch.setattr(distribution, "median_cdf_table", counted)
+        monkeypatch.setattr(distribution, "_median_poly", counted)
         return calls
 
     def test_curve_one_table_call_per_n(self, monkeypatch):
@@ -437,10 +479,14 @@ class TestNearerTailMasses:
         # this mean; the masses are clipped at 0, and nothing else moves
         inst = MeanInstance(193605, 221306, 1790)
         base = distribution._mean_base(inst)
-        tails = distribution.median_cdf_table(base.points[0], 64)
-        np.negative(tails, out=tails, where=base.points[1])
-        raw = np.diff(tails, axis=-1)[0]
-        raw[base.points[2][0]] += 1.0
+        rhos = base.rhos[0]
+        left = np.concatenate(([0.0], np.cumsum(rhos)))
+        right = np.concatenate((np.cumsum(rhos[::-1])[::-1], [0.0]))
+        far = left > 0.5
+        tails = median_cdf_table(np.where(far, right, left), 64)
+        np.negative(tails, out=tails, where=far)
+        raw = np.diff(tails)
+        raw[np.flatnonzero(far)[0] - 1] += 1.0  # the atom at the switch
         assert np.flatnonzero(raw < 0.0).tolist() == [474, 475, 478]
         masses = distribution._median_step(base.rhos, base.points, 64)[0]
         assert np.array_equal(masses, np.maximum(raw, 0.0))
