@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .model import INTEGER_TOL, AngleSet, MeanInstance, derive_angles
 from .numerics import MAX_REPETITION_N, _check_int, _check_n  # noqa: F401
-from .numerics import _median_inputs, _median_poly
+from .numerics import _any_or_none, _median_inputs, _median_poly
 
 __all__ = [
     "OutcomeDistribution",
@@ -173,7 +173,8 @@ def _mean_base(inst: MeanInstance) -> _MeanBase:
     rhos = _fold_atoms(d.p[None])
     points = _median_points(rhos)
     for arr in (rhos, *points):
-        arr.flags.writeable = False
+        if arr is not None:  # a mask that selects nothing is None
+            arr.flags.writeable = False
     return _MeanBase(d, rhos, points, {0: rhos}, [(None, None)])
 
 
@@ -337,9 +338,10 @@ def _fold_atoms(p: np.ndarray) -> np.ndarray:
 
 def _median_points(rhos: np.ndarray) -> tuple:
     """The n-independent half of the median step, along the last axis of
-    the atoms rhos: the mask of the boundaries read from the right tail,
-    the mask of the one atom whose boundaries straddle the switch between
-    the two tails, then the _median_inputs of each boundary's tail point.
+    the atoms rhos: the mask of the boundaries read from the right tail
+    (None if there are none), the mask of the one atom whose boundaries
+    straddle the switch between the two tails, then the _median_inputs of
+    each boundary's tail point.
 
     Each boundary is read from its nearer tail, so no difference is taken
     between two values near 1: where the left cumulative F <= 1/2 the point
@@ -351,7 +353,7 @@ def _median_points(rhos: np.ndarray) -> tuple:
     np.cumsum(rhos[..., ::-1], axis=-1, out=right[..., -2::-1])
     near = left <= 0.5
     inputs = _median_inputs(np.where(near, left, right))
-    return (~near, near[..., :-1] & ~near[..., 1:], *inputs)
+    return (_any_or_none(~near), near[..., :-1] & ~near[..., 1:], *inputs)
 
 
 def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
@@ -371,8 +373,9 @@ def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
         return rhos.copy()
     far, switch, *inputs = points
     tails = _median_poly(inputs, n)
-    np.negative(tails, out=tails, where=far)
-    masses = np.diff(tails, axis=-1)
+    if far is not None:
+        np.negative(tails, out=tails, where=far)
+    masses = np.subtract(tails[..., 1:], tails[..., :-1])
     masses[switch] += 1.0
     return np.maximum(masses, 0.0, out=masses)
 

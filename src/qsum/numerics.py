@@ -40,10 +40,26 @@ def log_gamma(x: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _median_coefficients(n: int) -> tuple[float, ...]:
-    """C(2n+1, n+1+i) for i = n, n-1, ..., 0, as floats in Horner order."""
+def _median_coefficients(n: int) -> tuple[int, tuple | np.ndarray]:
+    """The block size b of the median polynomial at n and its coefficients
+    C(2n+1, n+1+i), i = n, n-1, ..., 0, in Horner order.
+
+    b is a power of two near sqrt(n + 1), from n alone, and 1 below n = 16,
+    where the plain pass keeps its bits and the coefficients are a tuple
+    of floats.  Otherwise they are a
+    read-only (b, nb) array, nb = ceil((n + 1)/b): column k holds block k
+    of b consecutive degrees, the highest block first and its top degrees
+    zero-padded, each block's own coefficients in Horner order.
+    """
     m = 2 * n + 1
-    return tuple(float(math.comb(m, n + 1 + i)) for i in range(n, -1, -1))
+    coeffs = [float(math.comb(m, n + 1 + i)) for i in range(n, -1, -1)]
+    if n < 16:
+        return 1, tuple(coeffs)
+    b = 1 << ((n + 1).bit_length() // 2)
+    nb = -(-(n + 1) // b)
+    table = np.array([0.0] * (nb * b - n - 1) + coeffs).reshape(nb, b).T.copy()
+    table.flags.writeable = False
+    return b, table
 
 
 def _median_cdf(x: np.ndarray, n: int) -> np.ndarray:
@@ -53,36 +69,72 @@ def _median_cdf(x: np.ndarray, n: int) -> np.ndarray:
 
         I(z) = z^(n+1) (1-z)^n sum_{i=0..n} C(2n+1, n+1+i) r^i,  r = z/(1-z),
 
-    with r in [0, 1]: one Horner pass of all-positive terms, so nothing
-    cancels and the relative error stays near a few ulp at every n up to
-    the cap.  Above 1/2, I(x) = 1 - I(1 - x), where 1 - x is exact.
+    with r in [0, 1]: a sum of positive terms, so nothing cancels.  Below
+    n = 16 it is one Horner pass; from n = 16 on, a blocked Horner pass in
+    O(sqrt n) numpy calls (_median_poly), which moves a value by at most a
+    few ulp from the plain pass.  Either way the relative error stays near
+    a few ulp at every n up to the cap.  Above 1/2, I(x) = 1 - I(1 - x),
+    where 1 - x is exact.
     """
     return _median_poly(_median_inputs(x), n)
 
 
 def _median_inputs(x: np.ndarray) -> tuple:
     """The n-independent half of _median_cdf at points x in [0, 1]: z =
-    min(x, 1 - x), 1 - z, r = z/(1 - z) and the masks x > 1/2 and x = 1/2.
-    A caller that evaluates one set of points at many n keeps these."""
+    min(x, 1 - x), 1 - z, r = z/(1 - z) and the masks x > 1/2 and x = 1/2,
+    each None where no point is in it.  A caller that evaluates one set of
+    points at many n keeps these."""
     z = np.minimum(x, 1.0 - x)
     w = 1.0 - z
-    return z, w, z / w, x > 0.5, x == 0.5
+    return z, w, z / w, _any_or_none(x > 0.5), _any_or_none(x == 0.5)
+
+
+def _any_or_none(mask: np.ndarray) -> np.ndarray | None:
+    """The mask, or None if it selects nothing: a where= step it feeds can
+    then be skipped."""
+    return mask if mask.any() else None
 
 
 def _median_poly(inputs: tuple, n: int) -> np.ndarray:
     """The n-dependent half of _median_cdf, on its _median_inputs, for an
-    n already checked: the Horner pass, the two powers, the reflection
-    above 1/2 and the exact value at 1/2, in a new array."""
+    n already checked: the polynomial in r, the two powers, the reflection
+    above 1/2 and the exact value at 1/2, in a new array.
+
+    With block size b = 1 this is the plain Horner pass, started at r +
+    C(2n+1, 2n) since the top coefficient is 1.  With b > 1 the blocks'
+    own Horner passes run at once on a (nb, points) array, then a Horner
+    pass over the blocks in r^b, from log2 b squarings of r: about 2b +
+    2nb numpy calls in place of 2n.  b depends on n alone, never on the
+    points' number or shape, so each point's bits do not depend on the
+    points evaluated beside it.
+    """
     z, w, r, upper, half = inputs
-    coeffs = _median_coefficients(n)
-    acc = np.full_like(z, coeffs[0])
-    for c in coeffs[1:]:
-        acc *= r
+    b, coeffs = _median_coefficients(n)
+    if b == 1:
+        acc = r + coeffs[1] if n else np.ones_like(r)
+        step, rest = r, coeffs[2:]
+    else:
+        cols = coeffs.reshape(coeffs.shape + (1,) * r.ndim)
+        blocks = cols[0] * r
+        blocks += cols[1]
+        for c in cols[2:]:
+            blocks *= r
+            blocks += c
+        step = r * r
+        for _ in range(b.bit_length() - 2):
+            step *= step
+        acc = blocks[0] * step
+        acc += blocks[1]
+        rest = blocks[2:]
+    for c in rest:
+        acc *= step
         acc += c
     acc *= z ** (n + 1)
     acc *= w**n
-    np.subtract(1.0, acc, out=acc, where=upper)
-    np.copyto(acc, 0.5, where=half)  # t^n (1-t)^n is symmetric about 1/2
+    if upper is not None:
+        np.subtract(1.0, acc, out=acc, where=upper)
+    if half is not None:
+        np.copyto(acc, 0.5, where=half)  # t^n (1-t)^n is symmetric about 1/2
     return acc
 
 
@@ -132,10 +184,12 @@ def regularized_incomplete_beta(x: float, n: int) -> float:
 
     Computes (2n+1) C(2n, n) * integral_0^x t^n (1-t)^n dt, a polynomial of
     degree 2n+1 because n is a nonnegative integer.  It is evaluated on
-    the nearer half, z = min(x, 1-x), as z^(n+1) (1-z)^n times a Horner
-    polynomial with nonnegative coefficients in z/(1-z) <= 1, which keeps
-    it accurate to a few ulp relative below 1/2 for every admissible n;
-    the monomial form cancels catastrophically past n ~ 15.
+    the nearer half, z = min(x, 1-x), as z^(n+1) (1-z)^n times a
+    polynomial with nonnegative coefficients in z/(1-z) <= 1: a Horner
+    pass below n = 16, a blocked Horner pass of the same positive terms
+    from n = 16 on (see _median_cdf).  That keeps it accurate to a few ulp
+    relative below 1/2 for every admissible n; the monomial form cancels
+    catastrophically past n ~ 15.
 
     Monotone nondecreasing in x, with value 0 at x = 0, 1/2 at x = 1/2,
     and 1 at x = 1.
@@ -147,15 +201,19 @@ def regularized_incomplete_beta(x: float, n: int) -> float:
 
 
 def median_cdf_table(xs: np.ndarray, n: int) -> np.ndarray:
-    """Vectorised regularized_incomplete_beta over an array of points.
+    """Vectorised regularized_incomplete_beta over an array of points, of
+    any shape.
 
     Same polynomial, evaluation and exact values at 0, 1/2 and 1 as the
     scalar routine; inputs are clipped to [0, 1] to absorb cumulative-sum
-    rounding in callers.
+    rounding in callers (so -inf reads as 0 and inf as 1), and a NaN point
+    raises DomainError as it does there.
     """
     n = _check_n(n)
     xs = np.clip(np.asarray(xs, dtype=float), 0.0, 1.0)
-    return _median_cdf(xs, n)
+    if np.isnan(xs).any():
+        raise DomainError("x must lie in [0, 1], got nan")
+    return _median_cdf(xs.reshape(xs.shape or 1), n).reshape(xs.shape)
 
 
 def sin_power_integral(p: float) -> float:

@@ -280,7 +280,9 @@ class TestMedianPolynomialAccuracy:
     tail sum: a few ulp relative on [0, 1/2], where the nearer-tail median
     masses read it, and a few ulp absolute above."""
 
-    NS = (1, 2, 3, 8, 32, 64)
+    # 16 is the first blocked n, 40 pads its top block of 8 with 7 zeros,
+    # and 63 fills its 8 blocks exactly
+    NS = (1, 2, 3, 8, 16, 32, 40, 63, 64)
 
     @staticmethod
     def reference(x: float, n: int):
@@ -313,3 +315,119 @@ class TestMedianPolynomialAccuracy:
     def test_exact_points(self, n):
         assert median_cdf_table([0.0, 0.5, 1.0], n).tolist() == [0.0, 0.5, 1.0]
         assert [regularized_incomplete_beta(x, n) for x in (0.0, 0.5, 1.0)] == [0.0, 0.5, 1.0]
+
+
+def _horner_reference(x: np.ndarray, n: int) -> np.ndarray:
+    """The median polynomial as one plain Horner pass of n steps, with its
+    inputs inlined: the reference that the plain pass must match bit for
+    bit and the blocked pass within a band."""
+    m = 2 * n + 1
+    coeffs = tuple(float(math.comb(m, n + 1 + i)) for i in range(n, -1, -1))
+    z = np.minimum(x, 1.0 - x)
+    w = 1.0 - z
+    r, upper, half = z / w, x > 0.5, x == 0.5
+    acc = np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= r
+        acc += c
+    acc *= z ** (n + 1)
+    acc *= w**n
+    np.subtract(1.0, acc, out=acc, where=upper)
+    np.copyto(acc, 0.5, where=half)
+    return acc
+
+
+def _hard_points(seed: int) -> np.ndarray:
+    """60 seeded points of [0, 1]: the exact points 0, 1/2 and 1, values
+    within 1e-300 of 0 (subnormals among them), values next to 1/2 and 1,
+    and uniform draws on both halves, shuffled."""
+    rng = np.random.default_rng(seed)
+    fixed = [0.0, 0.5, 1.0, 1e-300, 3e-301, 1e-310, 5e-324, 0.5 - 2.0**-54, 0.5 + 2.0**-53, 1.0 - 2.0**-53]
+    xs = np.concatenate([fixed, 1e-300 * rng.random(10), rng.random(40)])
+    rng.shuffle(xs)
+    return xs
+
+
+class TestBlockedMedianPolynomial:
+    """The median polynomial's blocked Horner pass: the block size rule,
+    bits against the plain pass and independence of the points' shape."""
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_block_rule(self, n):
+        b, coeffs = numerics._median_coefficients(n)
+        if n < 16:
+            assert b == 1 and len(coeffs) == n + 1 and coeffs[0] == 1.0
+            return
+        nb = coeffs.shape[1]
+        assert b & (b - 1) == 0 and n + 1 <= 2 * b * b <= 4 * (n + 1)  # a power of two near sqrt(n + 1)
+        assert coeffs.shape[0] == b and (nb - 1) * b < n + 1 <= nb * b <= 9 * 8
+        assert not coeffs.flags.writeable
+        # the blocks, highest first and each in Horner order, zero-padded at the top
+        want = [0.0] * (nb * b - n - 1) + [float(math.comb(2 * n + 1, n + 1 + i)) for i in range(n, -1, -1)]
+        assert coeffs.T.ravel().tolist() == want
+
+    def test_padding_cases(self):
+        # the n the accuracy tests add: the first blocked n, a zero-padded
+        # top block and an exact fill
+        assert numerics._median_coefficients(16)[1].shape == (4, 5)
+        assert numerics._median_coefficients(40)[1].shape == (8, 6)
+        assert numerics._median_coefficients(63)[1].shape == (8, 8)
+        assert numerics._median_coefficients(64)[1].shape == (8, 9)
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_plain_n_bit_for_bit(self, n):
+        xs = np.concatenate([_hard_points(n), np.random.default_rng(300 + n).random(2000)])
+        got, want = numerics._median_cdf(xs, n), _horner_reference(xs, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(16, 65))
+    def test_blocked_n_within_band(self, n):
+        # all terms are positive in both passes, so they differ by a few ulp:
+        # relative below 1/2 (the largest seen over 3e5 points was 7.7e-16,
+        # on about a fifth of them), absolute above, where I = 1 - I(1 - x)
+        xs = np.concatenate([_hard_points(n), np.random.default_rng(300 + n).random(2000)])
+        got, want = numerics._median_cdf(xs, n), _horner_reference(xs, n)
+        low = xs <= 0.5
+        assert np.all(np.abs(got[low] - want[low]) <= 1e-15 * want[low])
+        assert np.all(np.abs(got[~low] - want[~low]) <= 1e-15)
+        assert got[xs == 0.0].tolist() == [0.0] and got[xs == 0.5].tolist() == [0.5]
+        assert got[xs == 1.0].tolist() == [1.0]
+
+    @pytest.mark.parametrize("n", range(65))
+    def test_bits_independent_of_shape(self, n):
+        # each point alone, in a (rows x points) block and in a bounds-shaped
+        # (side, column, mean) array: the block size depends on n alone, so a
+        # point's value does not depend on the points beside it
+        xs = _hard_points(n)
+        alone = np.concatenate([numerics._median_cdf(np.array([x]), n) for x in xs])
+        block = numerics._median_cdf(xs.reshape(6, 10), n).ravel()
+        bounds = numerics._median_cdf(xs.reshape(2, 5, 6), n).ravel()
+        table = median_cdf_table(xs.reshape(3, 20), n).ravel()
+        assert alone.tobytes() == block.tobytes() == bounds.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 3, 16, 64])
+    @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (5,), (2, 3), (2, 0, 4)])
+    def test_table_keeps_shape(self, shape, n):
+        xs = np.random.default_rng(7).random(shape)
+        got = median_cdf_table(xs, n)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+        flat = [regularized_incomplete_beta(float(x), n) for x in xs.ravel()]
+        assert got.ravel().tolist() == flat
+
+
+class TestMedianTableDomain:
+    """median_cdf_table takes points as regularized_incomplete_beta does,
+    except that it clips the rounding of cumulative sums into [0, 1]."""
+
+    @pytest.mark.parametrize("n", [0, 3, 16, 64])
+    def test_nan_rejected_as_by_the_scalar(self, n):
+        with pytest.raises(DomainError, match=r"^x must lie in \[0, 1\], got nan$"):
+            regularized_incomplete_beta(math.nan, n)
+        for xs in ([0.2, math.nan], np.nan, [[0.1], [np.nan]]):
+            with pytest.raises(DomainError, match=r"^x must lie in \[0, 1\], got nan$"):
+                median_cdf_table(xs, n)
+
+    @pytest.mark.parametrize("n", [0, 3, 16, 64])
+    def test_infinities_clipped(self, n):
+        got = median_cdf_table([math.inf, -math.inf, 1.0 + 1e-12, -1e-300], n)
+        assert got.tolist() == [1.0, 0.0, 1.0, 0.0]

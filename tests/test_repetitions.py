@@ -276,8 +276,11 @@ class TestMeanBaseMemo:
             assert distribution._mean_base.cache_info().currsize <= maxsize
         for inst in means[-maxsize:]:  # the entries the memo holds
             base = distribution._mean_base(inst)
-            arrays = [base.d.p, base.rhos, *base.points]
             assert len(base.points) == 7  # two masks, then the polynomial's five inputs
+            # the tail points lie in [0, 1/2]: the reflection mask selects
+            # nothing and is None, and so is any other empty mask
+            assert base.points[5] is None
+            arrays = [base.d.p, base.rhos, *(arr for arr in base.points if arr is not None)]
             if not base.d.angles.sigma_is_integer:
                 ((q, devs),) = base.devs
                 assert q == 2.0 and devs.shape == (1, inst.M // 2 + 1)

@@ -461,7 +461,7 @@ class TestBoostedScreen:
     def test_equals_full_pass(self, M, sharp, monkeypatch):
         monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", 2**12)  # several blocks
         for q in (1.0, 1.5, 2.0, 3.0):
-            for n in (1, 2, 3, 8, 64):
+            for n in (1, 2, 3, 8, 16, 32, 64):  # from 16 on, the blocked pass
                 r = worst_avg_error(M, q, self.GRID, n_reps=n, include_sharpness=sharp)
                 want = self.full_pass(M, q, n, self.GRID, sharp)
                 assert (r.worst_error, r.argmax_k, r.argmax_N) == want, (q, n)
