@@ -18,12 +18,11 @@ _BOUND_ENTRIES = 2**13
 def error_bounds(M: int, q: float, n: int, a, sigma, s, integral) -> np.ndarray | None:
     """Upper bounds on the local L_q errors of the means a under 2n+1 runs,
     or None where n >= 1 and the boosted bound has more columns than the
-    median step's floor(M/2) + 1 (M <= 29, but for 26 and 27): screening
-    there measured slower at M = 6 and 14, level at M = 22 (14 columns
-    against 12) and faster from M = 26 (14 against 14) on, on
-    check_repetition_theorem's grid (2 cores, Python 3.11.7, numpy 2.4.6).
-    An integral row's error and bound are exactly 0; the bounds see sigma
-    = s = 1/2 there, so every cotangent is finite."""
+    median step's floor(M/2) + 1 (M <= 29, but for 26 and 27): a bound
+    that costs more columns than the kernel it would spare does not pay
+    (the timings are in ROADMAP).  An integral row's error and bound are
+    exactly 0; the bounds see sigma = s = 1/2 there, so every cotangent is
+    finite."""
     sigma, s = (np.where(integral, 0.5, x) for x in (sigma, s))
     if not n:
         u = _error_bounds(M, q, a, sigma, s)
@@ -70,8 +69,8 @@ def _error_bounds(M: int, q: float, a, sigma, s) -> np.ndarray:
     [h (3/2 + u), h (K - 3/2 + u)], left of x0 - h/2, and integrating f
     gives c (K - 3) + (d/h) ln(sin(h (K - 3/2 + u)) / sin(h (3/2 + u)))
     for their sum.  Up to M = 6 every term is exact, and so is U_1 = e_1 =
-    1/M at a = 1 with odd M; above, U_1 is within 0.3% of e_1 on the
-    means tested.
+    1/M at a = 1 with odd M; above, U_1 is close to e_1 (how close is
+    measured in ROADMAP).
       Precision near a pole (s_lo or u near 0) and near a = 1: cot(pi u)
     is -+ 1/tan(pi s), the sign by the side of 1/2 that s_lo is on, not
     a cotangent of 1 - s_lo rounded; and d = 2 sin(pi sigma/M) sin(pi

@@ -68,7 +68,8 @@ BLOCK_ELEMENTS = 2**14
 @dataclass(frozen=True)
 class GridSpec:
     """A set of means k/N (single N, many k) to sweep over, with
-    integers 1 <= N <= MAX_GRID_N = 2^53 and k in [0, N]."""
+    integers 1 <= N <= MAX_GRID_N = 2^53 and k in [0, N], each by the
+    numerics integer rule."""
 
     N: int
     ks: tuple[int, ...]
@@ -79,6 +80,9 @@ class GridSpec:
             raise DomainError("grid must have N >= 1 and at least one k")
         if self.N > MAX_GRID_N:
             raise DomainError(f"grid N must be at most 2^53, got {self.N}")
+        # the rule looks only at a value's type: one k of each type decides
+        for k in dict(zip(map(type, self.ks), self.ks)).values():
+            _check_int(k, "grid k")
         if min(self.ks) < 0 or max(self.ks) > self.N:
             raise DomainError("grid k values must lie in [0, N]")
 
@@ -192,10 +196,7 @@ def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):
     model._block_angles gives them."""
     if grid.N <= M:
         raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
-    ks = np.array(grid.ks)
-    if ks.dtype.kind not in "iu":
-        raise DomainError(f"grid k values must be integers, got {ks.dtype} values")
-    ks = ks.astype(np.int64)
+    ks = np.array(grid.ks, dtype=np.int64)
     Ns = np.full(len(ks), grid.N, dtype=np.int64)
     label = grid.label
     if include_sharpness:
@@ -241,11 +242,14 @@ def _screened_max(M: int, q: float, means, n: int) -> tuple[int, float]:
     bound allows.
 
     The kernel first runs on the mean of largest bound U
-    (bounds.error_bounds), whose error e is a lower bound on the maximum;
-    then, in blocks and in order, on every mean with U (1 + _SCREEN_MARGIN)
-    >= e.  A skipped mean's error is below e, so it can neither be nor tie
-    the maximum (the mirror means a and 1 - a of a boosted tie are both
-    kept), and a row's kernel result does not depend on the rows sharing its
+    (bounds.error_bounds), whose error e, the floor, is a lower bound on the
+    maximum.  The kept means are those with U (1 + _SCREEN_MARGIN) >= e;
+    the floor's row is the first kept row, so the kernel then runs, in
+    blocks and in order, only on the other kept means (on none when the
+    floor's mean is the only one kept), and each kept mean reaches it once.
+    A skipped mean's error is below e, so it can neither be nor tie the
+    maximum (the mirror means a and 1 - a of a boosted tie are both kept),
+    and a row's kernel result does not depend on the rows sharing its
     block: value, argmax and tie rule are those of the full pass.  Where
     error_bounds gives no bound, every mean runs.  The pole guard still
     checks every mean, in O(1) each; the drift and negativity checks run on
@@ -256,11 +260,15 @@ def _screened_max(M: int, q: float, means, n: int) -> tuple[int, float]:
     bound = error_bounds(M, q, n, a, sigma, s, integral)
     if bound is None:
         keep = np.arange(len(ks))
+        errors = _grid_errors(M, q, means, n)
     else:
         top = int(np.argmax(bound))
         floor = _grid_errors(M, q, [x[top : top + 1] for x in means], n)[0]
         keep = np.flatnonzero(bound * (1.0 + _SCREEN_MARGIN) >= floor)
-    errors = _grid_errors(M, q, [x[keep] for x in means], n)
+        errors = np.full(len(keep), floor)
+        rest = keep != top
+        if rest.any():
+            errors[rest] = _grid_errors(M, q, [x[keep[rest]] for x in means], n)
     i = int(np.argmax(errors))
     return int(keep[i]), errors[i]
 

@@ -39,6 +39,7 @@ _ARGUMENTS = {
     "default_grid N": ("grid N", lambda v: default_grid(v, 64)),
     "default_grid count": ("grid count", lambda v: default_grid(4096, v)),
     "GridSpec N": ("grid N", lambda v: GridSpec(v, (0, 1), "x")),
+    "GridSpec k": ("grid k", lambda v: GridSpec(8, (0, v, 8), "x")),
     "MeanInstance k": ("k", lambda v: MeanInstance(v, 7, 13)),
     "MeanInstance N": ("N", lambda v: MeanInstance(3, v, 13)),
     "MeanInstance M": ("M", lambda v: MeanInstance(3, 7, v)),

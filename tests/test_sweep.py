@@ -1,9 +1,11 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +180,22 @@ class TestGridLimit:
 
     def test_non_integer_grid_is_a_domain_error(self):
         # an int64 k array would truncate a float k to another mean
-        with pytest.raises(DomainError, match="must be integers"):
-            worst_avg_error(6, 1.0, GridSpec(1024, (100, 300.9), "float k"))
+        with pytest.raises(DomainError, match="^grid k must be an integer, got 300.9$"):
+            GridSpec(1024, (100, 300.9), "float k")
         with pytest.raises(DomainError, match="must be an integer"):
             GridSpec(1024.0, (100,), "float N")
+
+    @pytest.mark.parametrize("k", [True, False, np.True_, 2.0, np.float64(2.0), 2.5], ids=repr)
+    def test_grid_k_follows_the_integer_rule(self, k):
+        # checked at construction, each k, whatever its place in the tuple
+        for ks in ((k, 3, 5), (0, 3, k), (0, np.int64(3), k)):
+            with pytest.raises(DomainError, match=f"^grid k must be an integer, got {re.escape(repr(k))}$"):
+                GridSpec(8, ks, "x")
+
+    def test_grid_k_numpy_integers_accepted(self):
+        ks = (0, np.int32(3), np.uint64(5), np.int64(8))
+        want = worst_avg_error(6, 1.0, GridSpec(8, (0, 3, 5, 8), "x"))
+        assert worst_avg_error(6, 1.0, GridSpec(8, ks, "x")) == want
 
 
 def _reference_means(M: int, grid: GridSpec, include_sharpness: bool):
@@ -625,10 +639,52 @@ class TestScreen:
         # the gain: kernel rows on the default grid of over 10^4 means, as
         # measured (a full pass runs every mean)
         calls = _counted_kernel(monkeypatch)
-        for q, M, kept in ((1.0, 6, 2), (1.0, 1053, 11), (1.5, 1366, 2722)):
+        for q, M, kept in ((1.0, 6, 1), (1.0, 1053, 10), (1.5, 1366, 2721)):
             calls.clear()
             worst_avg_error(M, q)
             assert sum(calls) <= kept, (q, M, sum(calls))
+
+
+def _kernel_means(monkeypatch):
+    """Patch the sweep's kernel to record the k of every row it runs."""
+    seen = []
+    kernel = sweep._block_errors
+
+    def spied(*args):
+        seen.extend(args[5].tolist())
+        return kernel(*args)
+
+    monkeypatch.setattr(sweep, "_block_errors", spied)
+    return seen
+
+
+class TestKernelOncePerMean:
+    """The floor's row is the first kept row: no mean of a screened sweep
+    reaches the kernel twice."""
+
+    @staticmethod
+    def assert_once(seen, M, grid, sharp):
+        # a sharpness mean may repeat a grid mean; each row runs at most once
+        ks = sweep._sweep_means(M, grid, sharp)[1][0].tolist()
+        assert seen
+        assert not Counter(seen) - Counter(ks), sorted((Counter(seen) - Counter(ks)).items())
+
+    @pytest.mark.parametrize("M", [6, 86, 1053])
+    @pytest.mark.parametrize("q", [1.0, 2.0, math.inf])
+    def test_unboosted(self, q, M, monkeypatch):
+        seen = _kernel_means(monkeypatch)
+        worst_avg_error(M, q)
+        self.assert_once(seen, M, default_grid(), True)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("M", [86, 342])
+    def test_boosted(self, M, n, monkeypatch):
+        grid = default_grid(count=2000)
+        seen = _kernel_means(monkeypatch)
+        for q in (1.0, 2.0):
+            seen.clear()
+            worst_avg_error(M, q, grid, n_reps=n)
+            self.assert_once(seen, M, grid, False)
 
 
 def _median_error_q(inst: MeanInstance, q: float, n: int) -> float:
