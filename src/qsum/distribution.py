@@ -35,10 +35,10 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError
 from .model import INTEGER_TOL, AngleSet, MeanInstance, derive_angles
 from .numerics import MAX_REPETITION_N, _check_int, _check_n  # noqa: F401
-from .numerics import _any_or_none, _median_inputs, _median_poly
+from .numerics import _median_inputs, _median_poly
 
 __all__ = [
     "OutcomeDistribution",
@@ -131,10 +131,8 @@ def output_value(j: int, M: int) -> float:
     The first call at an M builds that table, O(M) time and memory (8 B
     per index up to M/2), kept for the 16 most recent M.
     """
-    if _check_int(M, "M") < 1:
-        raise DomainError(f"M must be positive, got {M}")
-    if not 0 <= _check_int(j, "index") < M:
-        raise DomainError(f"index j={j} out of range for M={M}")
+    M = _check_int(M, "M", 1)
+    j = _check_int(j, "index", 0, M - 1)
     return float(_index_tables(M)[2][min(j, M - j)])
 
 
@@ -173,7 +171,7 @@ def _mean_base(inst: MeanInstance) -> _MeanBase:
     rhos = _fold_atoms(d.p[None])
     points = _median_points(rhos)
     for arr in (rhos, *points):
-        if arr is not None:  # a mask that selects nothing is None
+        if arr is not None:  # an input mask that selects nothing is None
             arr.flags.writeable = False
     return _MeanBase(d, rhos, points, {0: rhos}, [(None, None)])
 
@@ -339,9 +337,9 @@ def _fold_atoms(p: np.ndarray) -> np.ndarray:
 def _median_points(rhos: np.ndarray) -> tuple:
     """The n-independent half of the median step, along the last axis of
     the atoms rhos: the mask of the boundaries read from the right tail
-    (None if there are none), the mask of the one atom whose boundaries
-    straddle the switch between the two tails, then the _median_inputs of
-    each boundary's tail point.
+    (never empty: the last boundary's left cumulative is the total mass 1),
+    the mask of the one atom whose boundaries straddle the switch between
+    the two tails, then the _median_inputs of each boundary's tail point.
 
     Each boundary is read from its nearer tail, so no difference is taken
     between two values near 1: where the left cumulative F <= 1/2 the point
@@ -353,7 +351,7 @@ def _median_points(rhos: np.ndarray) -> tuple:
     np.cumsum(rhos[..., ::-1], axis=-1, out=right[..., -2::-1])
     near = left <= 0.5
     inputs = _median_inputs(np.where(near, left, right))
-    return (_any_or_none(~near), near[..., :-1] & ~near[..., 1:], *inputs)
+    return (~near, near[..., :-1] & ~near[..., 1:], *inputs)
 
 
 def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
@@ -373,8 +371,7 @@ def _median_step(rhos: np.ndarray, points, n: int) -> np.ndarray:
         return rhos.copy()
     far, switch, *inputs = points
     tails = _median_poly(inputs, n)
-    if far is not None:
-        np.negative(tails, out=tails, where=far)
+    np.negative(tails, out=tails, where=far)
     masses = np.subtract(tails[..., 1:], tails[..., :-1])
     masses[switch] += 1.0
     return np.maximum(masses, 0.0, out=masses)
@@ -408,9 +405,7 @@ def _block_median_errors(p: np.ndarray, a: np.ndarray, q: float, n: int) -> np.n
 
 def exact_error(inst: MeanInstance, j: int) -> float:
     """|a - output(j)| via the product form |sin(pi(j-sigma)/M) sin(pi(j+sigma)/M)|."""
-    M = inst.M
-    if not 0 <= _check_int(j, "index") < M:
-        raise DomainError(f"index j={j} out of range for M={M}")
+    j = _check_int(j, "index", 0, inst.M - 1)
     return float(error_vector(inst, derive_angles(inst))[j])
 
 
@@ -459,10 +454,5 @@ def collapse_outputs(d: OutcomeDistribution) -> OutputDistribution:
 
 def event_probability(d: OutcomeDistribution, indices: Iterable[int]) -> float:
     """Total outcome probability of a set of indices."""
-    idx = set()
-    for j in indices:
-        j = _check_int(j, "index")
-        if not 0 <= j < d.M:
-            raise DomainError(f"index {j} out of range for M={d.M}")
-        idx.add(j)
+    idx = {_check_int(j, "index", 0, d.M - 1) for j in indices}
     return float(sum(d.p[j] for j in idx))

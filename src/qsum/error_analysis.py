@@ -16,7 +16,7 @@ import numpy as np
 from .distribution import _block_errors, _row
 from .errors import DomainError
 from .model import AngleSet, MeanInstance, derive_angles
-from .numerics import _check_q, _gauss_jacobi, sin_power_integral
+from .numerics import _check_int, _check_q, _gauss_jacobi, sin_power_integral
 
 __all__ = [
     "BoundReport",
@@ -87,10 +87,13 @@ def _report(
     )
 
 
-def _check_q_open(q: float) -> None:
-    """The exponent of the q > 1 main terms: q in (1, inf)."""
-    if not 1.0 < q < math.inf:
+def _check_q_open(q: float) -> float:
+    """The exponent of the q > 1 main terms: the q rule (numerics._check_q)
+    without q = 1, as a float."""
+    checked = _check_q(q)
+    if checked == 1.0:
         raise DomainError(f"q must lie in (1, inf), got {q!r}")
+    return checked
 
 
 def _nonintegral_angles(inst: MeanInstance, what: str = "bound") -> AngleSet:
@@ -168,8 +171,7 @@ def check_cot_sum_rectangle_bound(inst: MeanInstance) -> BoundReport:
     rectangle-rule argument actually supports; expect honest
     satisfied=False reports in that corner.
     """
-    if inst.M < 3:
-        raise DomainError(f"bound requires M >= 3, got M={inst.M}")
+    _check_int(inst.M, "M", 3)
     ang = _nonintegral_angles(inst)
     M, s = inst.M, ang.s
     observed = cot_sum(inst)
@@ -198,8 +200,7 @@ def check_l1_log_bound(inst: MeanInstance) -> BoundReport:
     (3 pi + 2 + ln pi^2)/(M pi) * sin(pi s).  Holds on the integral-sigma
     branch too, where both sides vanish.
     """
-    if inst.M < 3:
-        raise DomainError(f"bound requires M >= 3, got M={inst.M}")
+    _check_int(inst.M, "M", 3)
     ang = derive_angles(inst)
     M = inst.M
     observed = local_avg_error(inst, 1.0)
@@ -286,7 +287,7 @@ def check_lq_integral_bound(inst: MeanInstance, q: float) -> BoundReport:
     with d = 1 exactly when q == 2 (a deliberately exact float test: any
     other q takes the looser branch).
     """
-    _check_q_open(q)
+    q = _check_q_open(q)
     ang = _nonintegral_angles(inst)
     M = inst.M
     observed = local_avg_error(inst, q) ** q
@@ -326,7 +327,7 @@ def full_lq_integral(theta: float, q: float) -> float:
     Folded about pi/2 so both integrable sin^(q-2) blowups (q < 2) sit at
     an integration limit of exactly 0.
     """
-    _check_q_open(q)
+    q = _check_q_open(q)
     return _half_lq_integral(theta, q, 0.0) + _half_lq_integral(-theta, q, 0.0)
 
 
@@ -339,7 +340,7 @@ def lq_asymptotic_main_term(inst: MeanInstance, q: float) -> float:
     The ratio to local_avg_error tends to 1 as M grows at fixed mean with
     s bounded away from 0.
     """
-    _check_q_open(q)
+    q = _check_q_open(q)
     ang = _nonintegral_angles(inst, "main term")
     integral = full_lq_integral(ang.theta, q)
     sin2 = math.sin(math.pi * ang.s) ** 2

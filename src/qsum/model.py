@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _check_count, _check_int
+from .numerics import _check_int
 
 __all__ = ["MeanInstance", "AngleSet", "derive_angles", "random_instances"]
 
@@ -37,14 +37,11 @@ class MeanInstance:
     M: int
 
     def __post_init__(self) -> None:
-        for name in ("k", "N", "M"):
-            object.__setattr__(self, name, _check_int(getattr(self, name), name))
-        if self.N < 1:
-            raise DomainError(f"N must be positive, got {self.N}")
-        if not 0 <= self.k <= self.N:
-            raise DomainError(f"need 0 <= k <= N, got k={self.k}, N={self.N}")
-        if not 1 <= self.M <= 2**53:  # past 2^53, sigma has no fractional bits
-            raise DomainError(f"M must lie in [1, 2^53], got {self.M}")
+        N = _check_int(self.N, "N", 1)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "k", _check_int(self.k, "k", 0, N))
+        # past 2^53, sigma has no fractional bits
+        object.__setattr__(self, "M", _check_int(self.M, "M", 1, 2**53))
 
     @property
     def a(self) -> float:
@@ -141,7 +138,7 @@ def random_instances(
     With require_noninteger, instances whose sigma is (near-)integral are
     rejected and redrawn, since several bound evaluators exclude them.
     """
-    count = _check_count(count, "count", least=0)
+    count = _check_int(count, "count", 0)
     m_lo, m_hi = (_check_int(m, "m_range bound") for m in m_range)
     n_max = _check_int(n_max, "n_max")
     if not (1 <= m_lo <= m_hi and m_hi < n_max):

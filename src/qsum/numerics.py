@@ -143,20 +143,23 @@ def _median_poly(inputs: tuple, n: int) -> np.ndarray:
 MAX_REPETITION_N = 64
 
 
-def _check_int(value, name: str) -> int:
+def _check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """The one integer rule of every public integer argument: a Python or
-    numpy integer, not a bool (nor a float of integral value), as an int."""
+    numpy integer, not a bool (nor a float of integral value), in [lo, hi]
+    where given, as an int.  A range failure reads "<name> must lie in
+    [lo, hi], got <value>", or "[lo, inf)" where there is no hi."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        high = "inf)" if hi is None else f"{hi}]"
+        raise DomainError(f"{name} must lie in [{lo}, {high}, got {value}")
+    return value
 
 
 def _check_n(n) -> int:
     """The median polynomial's n: an integer in [0, MAX_REPETITION_N]."""
-    n = _check_int(n, "n")
-    if not 0 <= n <= MAX_REPETITION_N:
-        raise DomainError(f"n must lie in [0, {MAX_REPETITION_N}], got {n}")
-    return n
+    return _check_int(n, "n", 0, MAX_REPETITION_N)
 
 
 _REALS = (float, int, np.floating, np.integer)
@@ -168,15 +171,6 @@ def _check_q(q: float) -> float:
     if isinstance(q, bool) or not isinstance(q, _REALS) or not 1.0 <= q < math.inf:
         raise DomainError(f"q must lie in [1, inf), got {q!r}")
     return float(q)
-
-
-def _check_count(value, name: str, least: int = 1) -> int:
-    """A count of draws, runs or instances: an integer at least `least`,
-    which is 1, or 0 for a raw stream's length or an instance list."""
-    value = _check_int(value, name)
-    if value < least:
-        raise DomainError(f"{name} must be {'positive' if least else 'nonnegative'}, got {value}")
-    return value
 
 
 def regularized_incomplete_beta(x: float, n: int) -> float:

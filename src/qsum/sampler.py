@@ -66,7 +66,7 @@ import numpy as np
 
 from .distribution import OutcomeDistribution, _base_devs, _base_masses, _mean_base
 from .model import MeanInstance
-from .numerics import _check_count, _check_int, _check_n, _check_q
+from .numerics import _check_int, _check_n, _check_q
 
 __all__ = [
     "SampleRun",
@@ -116,7 +116,7 @@ class SampleRun:
 def splitmix64(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of SplitMix64 for the given seed, as uint64."""
     seed = _check_int(seed, "seed")
-    count = _check_count(count, "count", least=0)
+    count = _check_int(count, "count", 0)
     z = _counters(count)
     z += _base(seed, 0)
     return _mix(z, np.empty_like(z))
@@ -167,7 +167,7 @@ def sample_outcomes(d: OutcomeDistribution, count: int, seed: int) -> np.ndarray
     Deterministic in (seed, count): the same call always returns the same
     index sequence, bit for bit.
     """
-    count = _check_count(count, "count")
+    count = _check_int(count, "count", 1)
     z = splitmix64(seed, count)
     return _inverse_cdf(d.p, np.arange(d.M))(z, np.empty_like(z))
 
@@ -215,7 +215,7 @@ def empirical_repetition_error(
     """
     q = _check_q(q)
     n = _check_n(n)
-    runs = _check_count(runs, "runs")
+    runs = _check_int(runs, "runs", 1)
     seed = _check_int(seed, "seed")
     base = _mean_base(inst)
     d = base.d
@@ -286,7 +286,7 @@ def exact_standard_error(inst: MeanInstance, q: float, n: int, runs: int) -> flo
     """
     q = _check_q(q)
     n = _check_n(n)
-    runs = _check_count(runs, "runs")
+    runs = _check_int(runs, "runs", 1)
     base = _mean_base(inst)
     if base.d.angles.sigma_is_integer:
         return 0.0

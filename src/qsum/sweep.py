@@ -69,22 +69,23 @@ BLOCK_ELEMENTS = 2**14
 class GridSpec:
     """A set of means k/N (single N, many k) to sweep over, with
     integers 1 <= N <= MAX_GRID_N = 2^53 and k in [0, N], each by the
-    numerics integer rule."""
+    numerics integer rule.  Any iterable of ks is kept as a tuple."""
 
     N: int
     ks: tuple[int, ...]
     label: str
 
     def __post_init__(self) -> None:
-        if _check_int(self.N, "grid N") < 1 or not self.ks:
-            raise DomainError("grid must have N >= 1 and at least one k")
-        if self.N > MAX_GRID_N:
-            raise DomainError(f"grid N must be at most 2^53, got {self.N}")
+        N = _check_int(self.N, "grid N", 1, MAX_GRID_N)
+        ks = tuple(self.ks)
+        if not ks:
+            raise DomainError("grid must have at least one k")
+        object.__setattr__(self, "ks", ks)
         # the rule looks only at a value's type: one k of each type decides
-        for k in dict(zip(map(type, self.ks), self.ks)).values():
+        for k in dict(zip(map(type, ks), ks)).values():
             _check_int(k, "grid k")
-        if min(self.ks) < 0 or max(self.ks) > self.N:
-            raise DomainError("grid k values must lie in [0, N]")
+        for k in (min(ks), max(ks)):
+            _check_int(k, "grid k", 0, N)
 
 
 @dataclass(frozen=True)
@@ -121,15 +122,11 @@ def default_grid(
     and shared: a sweep per M with no grid, or a repetition-theorem row
     per M, builds its grid once.
     """
-    if _check_int(N, "grid N") < 2:
-        raise DomainError(f"grid N must be at least 2, got {N}")
-    if N > MAX_GRID_N:
-        raise DomainError(f"grid N must be at most 2^53, got {N}")
+    _check_int(N, "grid N", 2, MAX_GRID_N)
     if dense:
         ks = tuple(range(N + 1))
         return GridSpec(N, ks, f"k/{N} dense ({N + 1} points)")
-    if _check_int(count, "grid count") < 2:
-        raise DomainError(f"grid count must be at least 2, got {count}")
+    _check_int(count, "grid count", 2)
     # sorted and deduplicated by hand: np.unique imports numpy.ma
     ks = np.concatenate([np.linspace(0, N, count).round().astype(int), [0, 1, N - 1, N]])
     ks.sort()
@@ -144,10 +141,8 @@ def sharpness_instances(M: int, N: int = DEFAULT_GRID_N) -> list[MeanInstance]:
     error's leading factor separated from zero for every M; and (ii) the
     mean 1/2 exactly when M = 2 (mod 4), where that factor equals 1.
     """
-    if M < 3:
-        raise DomainError(f"sharpness instances need M >= 3, got {M}")
-    if N <= M:
-        raise DomainError(f"need N > M, got N={N}, M={M}")
+    M = _check_int(M, "M", 3)
+    N = _check_int(N, "N", M + 1)
     k_star = round(math.sin(math.pi / 4.0 + math.pi / (5.0 * M)) ** 2 * N)
     out = [MeanInstance(min(max(k_star, 0), N), N, M)]
     if M % 4 == 2 and N % 2 == 0:
@@ -161,30 +156,23 @@ def worst_avg_error(
     grid: GridSpec | None = None,
     *,
     n_reps: int = 0,
-    include_sharpness: bool | None = None,
 ) -> SweepResult:
     """Maximize the local error over a grid of means.
 
     With no grid the default grid is used and the sharpness instances are
-    always injected; an explicit grid is swept verbatim unless
-    include_sharpness is set.  n_reps follows the median polynomial's n
-    rule (an integer in [0, 64], else DomainError); n_reps >= 1 sweeps the
-    error of the median of 2 n_reps + 1 runs (finite q only).  Ties in the
-    maximum go to the smallest k (then smallest N), independent of
-    evaluation order.
+    injected; an explicit grid is swept verbatim.  n_reps follows the
+    median polynomial's n rule (an integer in [0, 64], else DomainError);
+    n_reps >= 1 sweeps the error of the median of 2 n_reps + 1 runs
+    (finite q only).  Ties in the maximum go to the smallest k (then
+    smallest N), independent of evaluation order.
     """
-    M = _check_int(M, "M")
-    if M < 3:
-        raise DomainError(f"sweeps require M >= 3, got M={M}")
+    M = _check_int(M, "M", 3)
     q = math.inf if q == math.inf else _check_q(q)
     n = _check_n(n_reps)
     if n != 0 and math.isinf(q):
         raise DomainError("boosted sweeps need finite q")
-    if include_sharpness is None:
-        include_sharpness = grid is None
-    if grid is None:
-        grid = default_grid()
-    label, means = _sweep_means(M, grid, include_sharpness)
+    sharp = grid is None
+    label, means = _sweep_means(M, default_grid() if sharp else grid, sharp)
     i, e = _screened_max(M, q, means, n)
     ks, Ns = means[:2]
     return SweepResult(M, q, n, float(e), int(ks[i]), int(Ns[i]), label)
@@ -194,8 +182,7 @@ def _sweep_means(M: int, grid: GridSpec, include_sharpness: bool):
     """The label of a sweep and its means in ascending (k, N), as the
     arrays (ks, Ns, a, sigma, s, integral): a = k/N, and the angles as
     model._block_angles gives them."""
-    if grid.N <= M:
-        raise DomainError(f"grid needs N > M, got N={grid.N}, M={M}")
+    _check_int(grid.N, "grid N", M + 1)
     ks = np.array(grid.ks, dtype=np.int64)
     Ns = np.full(len(ks), grid.N, dtype=np.int64)
     label = grid.label
@@ -286,9 +273,9 @@ def normalized_constant(M: int, q: float, worst_error: float) -> float:
 def _check_m_list(M_list: list[int]) -> list[int]:
     """The M values of a list, tuple or array as Python ints: nonempty,
     each an integer of at least 3, strictly increasing."""
-    Ms = [_check_int(m, "M") for m in M_list]
-    if not Ms or min(Ms) < 3:
-        raise DomainError("M_list must be nonempty with all M >= 3")
+    Ms = [_check_int(m, "M", 3) for m in M_list]
+    if not Ms:
+        raise DomainError("M_list must be nonempty")
     if Ms != sorted(set(Ms)):
         raise DomainError("M_list must be strictly increasing")
     return Ms

@@ -148,7 +148,7 @@ class TestSweep:
             capsys, "sweep", "--M-list", "6", "--q", "1", "--N", str(N), "--count", "50"
         )
         assert (code, out) == (2, "")
-        assert f"grid N must be at most 2^53, got {N}" in err
+        assert f"grid N must lie in [2, {2**53}], got {N}" in err
 
 
 class TestReps:

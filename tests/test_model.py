@@ -29,7 +29,7 @@ class TestMeanInstance:
         # M = 2^54 + 1 would get s = 0.5 rounded away and be flagged integral
         assert MeanInstance(3, 7, 2**53).M == 2**53
         for M in (2**53 + 1, 2**54 + 1):
-            with pytest.raises(DomainError, match=rf"^M must lie in \[1, 2\^53\], got {M}$"):
+            with pytest.raises(DomainError, match=rf"^M must lie in \[1, {2**53}\], got {M}$"):
                 MeanInstance(3, 7, M)
 
 

@@ -69,13 +69,14 @@ class TestRegularizedIncompleteBeta:
             assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_quadrature_cross_check(self):
-        # independent route: adaptively integrate the defining integrand
+        # independent route: integrate the defining integrand, a polynomial
+        # of degree 2n, by a Gauss-Legendre rule exact for it
+        nodes, weights = numerics._gauss_jacobi(10, 0.0, 0.0)
         for n in (2, 5, 9):
             for x in (0.1, 0.37, 0.81):
+                t = 0.5 * x * (1.0 + nodes)
                 norm = (2 * n + 1) * math.comb(2 * n, n)
-                ref = norm * integrate_adaptive(
-                    lambda t, _n=n: t**_n * (1 - t) ** _n, 0.0, x, 1e-13
-                ).value
+                ref = norm * 0.5 * x * float(weights @ (t**n * (1 - t) ** n))
                 assert regularized_incomplete_beta(x, n) == pytest.approx(ref, abs=1e-12)
 
     def test_array_form_matches_scalar(self):
@@ -105,17 +106,13 @@ class TestSinPowerIntegral:
 
     @pytest.mark.parametrize("p", [-0.9, -0.5, 0.5, 1.0, 3.0])
     def test_agrees_with_quadrature(self, p):
-        if p < 0:
-            # Gauss-Jacobi with weight (x (pi - x))^p, x = pi (1 + t)/2;
-            # sin x = sin y at the offset y from the nearer end
-            t, w = numerics._gauss_jacobi(30, p, p)
-            y = 0.5 * math.pi * (1.0 - np.abs(t))
-            ratio = np.sin(y) / (y * (math.pi - y))
-            value = (0.5 * math.pi) ** (2.0 * p + 1.0) * float(w @ ratio**p)
-        else:
-            res = integrate_adaptive(lambda x: np.sin(x) ** p, 0.0, math.pi, 1e-8)
-            assert res.converged
-            value = res.value
+        # Gauss-Jacobi with weight (x (pi - x))^p, x = pi (1 + t)/2, valid
+        # for every p > -1; sin x = sin y at the offset y from the nearer
+        # end, and sin y / (y (pi - y)) is smooth and positive
+        t, w = numerics._gauss_jacobi(30, p, p)
+        y = 0.5 * math.pi * (1.0 - np.abs(t))
+        ratio = np.sin(y) / (y * (math.pi - y))
+        value = (0.5 * math.pi) ** (2.0 * p + 1.0) * float(w @ ratio**p)
         assert abs(value - sin_power_integral(p)) <= 1e-8
 
     @pytest.mark.parametrize("p", [-1.0, -1.5])

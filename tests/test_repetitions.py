@@ -26,7 +26,7 @@ from qsum.repetitions import (
 )
 from qsum import sweep
 from qsum.sampler import empirical_repetition_error, exact_standard_error
-from qsum.sweep import default_grid, worst_avg_error
+from qsum.sweep import GridSpec, default_grid, sharpness_instances, worst_avg_error
 
 
 def brute_force_median(alphas, rhos, n):
@@ -508,8 +508,11 @@ class TestTheoremOnePass:
     @pytest.mark.parametrize("M", [6, 22, 86, 342])
     def test_columns_equal_sweeps(self, q, M):
         (row,) = check_repetition_theorem(q, [M], self.GRID)
-        base = worst_avg_error(M, q, self.GRID, include_sharpness=True)
-        rep = worst_avg_error(M, q, self.GRID, n_reps=row.n, include_sharpness=True)
+        # the grid plus the sharpness means, as the benchmark's rows build it
+        ks = sorted(self.GRID.ks + tuple(i.k for i in sharpness_instances(M, self.GRID.N)))
+        grid = GridSpec(self.GRID.N, tuple(ks), "grid + sharpness")
+        base = worst_avg_error(M, q, grid)
+        rep = worst_avg_error(M, q, grid, n_reps=row.n)
         assert row.worst_base_error == base.worst_error
         assert row.worst_rep_error == rep.worst_error
 

@@ -29,11 +29,27 @@ from qsum.repetitions import (
 )
 from qsum.sweep import (
     GridSpec,
+    SweepResult,
     asymptotic_table,
     default_grid,
     sharpness_instances,
     worst_avg_error,
 )
+
+
+def _plus_sharpness(grid: GridSpec, M: int) -> GridSpec:
+    """The grid's ks plus the sharpness means' ks at its N, as one GridSpec
+    (as the benchmark's sweep rows build theirs)."""
+    ks = sorted(grid.ks + tuple(inst.k for inst in sharpness_instances(M, grid.N)))
+    return GridSpec(grid.N, tuple(ks), f"{grid.label} + sharpness")
+
+
+def _sweep_with_sharpness(M: int, q: float, grid: GridSpec, n_reps: int = 0) -> SweepResult:
+    """A screened sweep over the grid plus the sharpness means at N = 2^20,
+    whatever the grid's N: the means of a repetition-theorem column."""
+    label, means = sweep._sweep_means(M, grid, True)
+    i, e = sweep._screened_max(M, q, means, n_reps)
+    return SweepResult(M, q, n_reps, float(e), int(means[0][i]), int(means[1][i]), label)
 
 
 class TestSharpnessInstances:
@@ -79,14 +95,14 @@ class TestWorstAvgError:
 
     def test_result_recomputes(self):
         grid = default_grid(count=200)
-        r = worst_avg_error(11, 2.0, grid, include_sharpness=True)
+        r = worst_avg_error(11, 2.0, grid)
         again = local_avg_error(MeanInstance(r.argmax_k, r.argmax_N, r.M), 2.0)
         assert abs(r.worst_error - again) <= 1e-12
 
     def test_sharpness_injection_never_lowers(self):
         grid = default_grid(count=50)
-        bare = worst_avg_error(10, 1.0, grid, include_sharpness=False)
-        augmented = worst_avg_error(10, 1.0, grid, include_sharpness=True)
+        bare = worst_avg_error(10, 1.0, grid)
+        augmented = worst_avg_error(10, 1.0, _plus_sharpness(grid, 10))
         assert augmented.worst_error >= bare.worst_error
 
     def test_grid_refinement_monotone(self):
@@ -96,8 +112,8 @@ class TestWorstAvgError:
             tuple(sorted(set(coarse.ks) | set(default_grid(count=400).ks))),
             "refined",
         )
-        lo = worst_avg_error(17, 1.5, coarse, include_sharpness=False)
-        hi = worst_avg_error(17, 1.5, fine, include_sharpness=False)
+        lo = worst_avg_error(17, 1.5, coarse)
+        hi = worst_avg_error(17, 1.5, fine)
         assert hi.worst_error >= lo.worst_error
 
     def test_tie_break_smallest_k(self):
@@ -121,7 +137,7 @@ class TestWorstAvgError:
     def test_q2_half_mean_identity(self, M):
         # at M = 2 mod 4 the worst q = 2 error sits at a = 1/2, where
         # e * sqrt(M) = 1/sqrt(2)
-        r = worst_avg_error(M, 2.0, default_grid(count=500), include_sharpness=True)
+        r = worst_avg_error(M, 2.0, _plus_sharpness(default_grid(count=500), M))
         assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
         assert abs(r.worst_error * math.sqrt(M) - 1 / math.sqrt(2)) <= 1e-12
 
@@ -173,9 +189,9 @@ class TestGridLimit:
     def test_grid_n_above_2_53_is_a_domain_error(self, N):
         # past 2^53 the means k/N are no longer distinct doubles, and numpy
         # holds such ks as floats or objects, or overflows building them
-        with pytest.raises(DomainError, match=r"at most 2\^53"):
+        with pytest.raises(DomainError, match=rf"^grid N must lie in \[1, {2**53}\], got {N}$"):
             GridSpec(N, (0, 1, N), "too fine")
-        with pytest.raises(DomainError, match=r"at most 2\^53"):
+        with pytest.raises(DomainError, match=rf"^grid N must lie in \[2, {2**53}\], got {N}$"):
             default_grid(N, 50)
 
     def test_non_integer_grid_is_a_domain_error(self):
@@ -196,6 +212,19 @@ class TestGridLimit:
         ks = (0, np.int32(3), np.uint64(5), np.int64(8))
         want = worst_avg_error(6, 1.0, GridSpec(8, (0, 3, 5, 8), "x"))
         assert worst_avg_error(6, 1.0, GridSpec(8, ks, "x")) == want
+
+    def test_grid_ks_kept_as_a_tuple(self):
+        # an array of ks was a truth-value ValueError, and a list left the
+        # frozen grid mutable and unhashable
+        want = GridSpec(8, (0, 4, 8), "x")
+        for ks in (np.array([0, 4, 8], dtype=np.int64), [0, 4, 8], range(0, 9, 4)):
+            grid = GridSpec(8, ks, "x")
+            assert type(grid.ks) is tuple
+            assert grid == want and hash(grid) == hash(want)
+            assert worst_avg_error(6, 1.0, grid) == worst_avg_error(6, 1.0, want)
+        assert GridSpec(8, want.ks, "x").ks is want.ks  # a tuple is not copied
+        with pytest.raises(DomainError, match="^grid must have at least one k$"):
+            GridSpec(8, np.array([], dtype=np.int64), "x")
 
 
 def _reference_means(M: int, grid: GridSpec, include_sharpness: bool):
@@ -315,7 +344,7 @@ class TestBlockKernel:
         monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", block)
         if block == 50:
             assert len(candidates) * M > block  # more rows than one block
-        r = worst_avg_error(M, q, grid, include_sharpness=True)
+        r = _sweep_with_sharpness(M, q, grid)
         first = int(np.argmax(got))
         assert (r.argmax_k, r.argmax_N) == (candidates[first].k, candidates[first].N)
         assert r.worst_error == got[first]
@@ -330,7 +359,7 @@ class TestBlockKernel:
     def test_tie_goes_to_smallest_k(self):
         # mean 1/2 at N = 2^20 (injected) and at N = 2^21 (grid) are the
         # same instance and the M = 6 maximum: the smaller k wins
-        r = worst_avg_error(6, 1.0, self.grid(6), include_sharpness=True)
+        r = _sweep_with_sharpness(6, 1.0, self.grid(6))
         assert (r.argmax_k, r.argmax_N) == (2**19, 2**20)
 
 
@@ -474,9 +503,10 @@ class TestBoostedScreen:
     @pytest.mark.parametrize("M, sharp", [(26, True), (40, False), (86, True), (86, False), (342, True)])
     def test_equals_full_pass(self, M, sharp, monkeypatch):
         monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", 2**12)  # several blocks
+        grid = _plus_sharpness(self.GRID, M) if sharp else self.GRID
         for q in (1.0, 1.5, 2.0, 3.0):
             for n in (1, 2, 3, 8, 16, 32, 64):  # from 16 on, the blocked pass
-                r = worst_avg_error(M, q, self.GRID, n_reps=n, include_sharpness=sharp)
+                r = worst_avg_error(M, q, grid, n_reps=n)
                 want = self.full_pass(M, q, n, self.GRID, sharp)
                 assert (r.worst_error, r.argmax_k, r.argmax_N) == want, (q, n)
 
@@ -597,7 +627,7 @@ class TestScreen:
         ks, Ns, errors = _full_pass(M, q, self.GRID)
         i = int(np.argmax(errors))
         monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", block)
-        r = worst_avg_error(M, q, self.GRID, include_sharpness=True)
+        r = _sweep_with_sharpness(M, q, self.GRID)
         assert (r.worst_error, r.argmax_k, r.argmax_N) == (errors[i], ks[i], Ns[i])
 
     def test_exact_q2_tie_is_in_the_grid(self):
@@ -724,7 +754,7 @@ class TestBoostedSweep:
         grid, insts = self.candidates(M)
         monkeypatch.setattr(sweep, "BLOCK_ELEMENTS", 40)
         assert len(insts) * M > 40  # more rows than one block
-        r = worst_avg_error(M, q, grid, n_reps=n, include_sharpness=True)
+        r = _sweep_with_sharpness(M, q, grid, n)
         assert r.n_reps == n
         want = [repetition_error(inst, q, n) for inst in insts]
         _assert_max_or_tie(r, insts, want)
@@ -768,7 +798,7 @@ class TestBoostedSweep:
     def test_repetition_theorem_default_grid(self):
         (row,) = check_repetition_theorem(2.0, [6])
         grid = default_grid(count=REPS_GRID_COUNT)
-        r = worst_avg_error(6, 2.0, grid, n_reps=3, include_sharpness=True)
+        r = worst_avg_error(6, 2.0, _plus_sharpness(grid, 6), n_reps=3)
         assert row.worst_rep_error == r.worst_error
 
 
